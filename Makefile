@@ -44,10 +44,14 @@ equiv:
 vet:
 	$(GO) vet ./...
 
-# lint runs staticcheck when it is installed (CI installs it; locally it is
-# optional) on top of go vet. `go run`-ing the tool would add a dependency to
-# go.mod, so the binary is looked up on PATH instead.
+# lint fails on any file gofmt would rewrite, then runs staticcheck when it is
+# installed (CI installs it; locally it is optional) on top of go vet.
+# `go run`-ing the tool would add a dependency to go.mod, so the binary is
+# looked up on PATH instead.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -559,6 +559,32 @@ func BenchmarkSweepWarmStart(b *testing.B) { benchSweep(b, false) }
 // — the result-identical baseline the warm variant is measured against.
 func BenchmarkSweepColdStart(b *testing.B) { benchSweep(b, true) }
 
+// BenchmarkSweepExploreResNet50Warm measures the Fig 15 re-pricing alone:
+// dse.Explore of ResNet-50 over the full Table II memory axes at two compute
+// configurations (1-8-16-16 and 4-8-8-8), on an evaluator warmed by one
+// earlier call, so every anchor search is a cache hit and the time is the
+// memory-point loop.
+func BenchmarkSweepExploreResNet50Warm(b *testing.B) {
+	m := ResNet50(224)
+	space := dse.TableII()
+	space.Vector, space.Lanes, space.Cores, space.Chiplets = []int{8, 16}, []int{8, 16}, []int{8}, []int{1, 4}
+	eng := engine.New(benchCM)
+	if _, err := dse.Explore(context.Background(), m, space, 2048, 2.0, eng); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := dse.Explore(context.Background(), m, space, 2048, 2.0, eng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Points) == 0 || len(res.Failed) != 0 {
+			b.Fatalf("%d points, %d failed compute configurations", len(res.Points), len(res.Failed))
+		}
+	}
+}
+
 // BenchmarkEngineGranularityCold runs the reduced Fig 14 sweep on a fresh
 // engine per iteration (the pre-refactor behavior: every sweep pays for its
 // own searches).

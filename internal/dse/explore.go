@@ -15,6 +15,8 @@ import (
 	"nnbaton/internal/faults"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
+	"nnbaton/internal/mapping"
+	"nnbaton/internal/noc"
 	"nnbaton/internal/obs"
 	"nnbaton/internal/sim"
 	"nnbaton/internal/workload"
@@ -111,12 +113,6 @@ func (r ExploreResult) ParetoFront() []Point {
 		}
 	}
 	return front
-}
-
-// candidate is a pooled mapping analysis reused across memory points.
-type candidate struct {
-	layer int
-	a     *c3p.Analysis
 }
 
 // exploreRecord is the checkpoint-journal form of one compute
@@ -338,96 +334,237 @@ func exploreComputeSafe(ctx context.Context, model workload.Model, space Space, 
 	return exploreCompute(ctx, model, space, comp, areaLimitMM2, eng)
 }
 
+// exploreCompute harvests candidate mappings for one compute configuration
+// and re-prices them at every memory point of the space. Each stage of the
+// re-pricing runs once per combination of the inputs it depends on:
+//
+//   - the pools, and everything below, are per distinct layer shape (layers
+//     of equal engine.ShapeOf share one memoized search);
+//   - the structural half of Mapping.Validate depends only on the compute
+//     tuple, so it runs once per candidate and leaves the candidate's
+//     minimum buffer sizes, checked at each memory point by four compares;
+//   - TrafficAt and the simulator do not read O-L1, so each candidate's
+//     traffic and simulated cycles are computed at most once per
+//     (A-L1, W-L1, A-L2) and reused across the O-L1 axis, which is
+//     innermost;
+//   - only the energy, which prices every access at the point's buffer
+//     sizes, and the selection run per memory point.
+//
+// The selection keeps, per shape, the lowest-energy candidate that fits and
+// simulates; at equal energy the first in pool order (anchor order, then the
+// search's ranking) wins. Per-layer results are summed in layer order, so
+// the float sums match a layer-by-layer pricing bit for bit, and the points
+// come back in canonical (O-L1, A-L1, W-L1, A-L2) order.
 func exploreCompute(ctx context.Context, model workload.Model, space Space, comp hardware.Config,
 	areaLimitMM2 float64, eng *engine.Evaluator) ([]Point, int, error) {
 	if err := faults.InjectContext(ctx, "dse.explore_compute", comp.Tuple()); err != nil {
 		return nil, 0, err
 	}
-	// Harvest mapping candidates per layer at the anchor allocations. The
-	// engine deduplicates repeated shapes and coalesces identical anchor
-	// searches issued by concurrent compute configurations.
-	pool := make([][]candidate, len(model.Layers))
+	shapes, shapeOf := distinctShapes(model.Layers)
+	// Harvest mapping candidates per shape at the anchor allocations. The
+	// engine coalesces identical anchor searches issued by concurrent
+	// compute configurations.
 	validAnchors := 0
 	for _, anchor := range anchorConfigs(space, comp) {
 		if anchor.Validate() != nil {
 			continue
 		}
 		validAnchors++
-		for li, l := range model.Layers {
-			opts, err := eng.SearchAll(ctx, l, anchor, mapper.Config{KeepTop: 4})
+		for _, sp := range shapes {
+			opts, err := eng.SearchAll(ctx, sp.layer, anchor, mapper.Config{KeepTop: 4})
 			if err != nil {
 				return nil, 0, err
 			}
 			for _, opt := range opts {
-				pool[li] = append(pool[li], candidate{layer: li, a: opt.Analysis})
+				sp.cands = append(sp.cands, candidate{a: opt.Analysis})
 			}
 		}
 	}
 	if validAnchors == 0 {
 		return nil, 0, fmt.Errorf("dse: no valid anchor configuration for %s", comp.Tuple())
 	}
+	r := repricer{shapes: shapes, shapeOf: shapeOf, cm: eng.CostModel()}
+	// The simulator reads only the chiplet count and fabric of the
+	// analysis' hardware, which every anchor shares with comp.
+	r.topo, r.xbar, r.netErr = noc.NewInterconnect(comp, hardware.FaultMask{})
+	for _, sp := range shapes {
+		sp.prepare(comp)
+	}
 
-	var points []Point
-	swept := 0
-	for _, olPerLane := range space.OL1PerLane {
-		for _, al1 := range space.AL1 {
-			for _, wl1 := range space.WL1 {
-				for _, al2 := range space.AL2 {
-					swept++
-					// §VI-B2 invalid-case pruning.
-					if al2 < al1 {
-						continue
+	nO, nA1, nW1, nA2 := len(space.OL1PerLane), len(space.AL1), len(space.WL1), len(space.AL2)
+	swept := nO * nA1 * nW1 * nA2
+	// Points are stored by canonical (O-L1, A-L1, W-L1, A-L2) index and
+	// compacted in that order, the order the journal record holds them in.
+	slots := make([]Point, swept)
+	valid := make([]bool, swept)
+	for i1, al1 := range space.AL1 {
+		for iw, wl1 := range space.WL1 {
+			for i2, al2 := range space.AL2 {
+				// §VI-B2 invalid-case pruning.
+				if al2 < al1 {
+					continue
+				}
+				for _, sp := range shapes {
+					for i := range sp.cands {
+						sp.cands[i].memo = 0 // forget the previous triple's traffic and cycles
 					}
+				}
+				for io, olPerLane := range space.OL1PerLane {
 					hw := comp
 					hw.OL1Bytes = olPerLane * comp.Lanes
 					hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes = al1, wl1, al2
 					hw.OL2Bytes = al2 / 2
 					stop := eng.Obs().Span("dse.memory_point")
-					pt, ok := priceMemoryPoint(model, hw, pool, areaLimitMM2, eng.CostModel())
+					pt := Point{HW: hw, ChipletAreaMM2: r.cm.ChipletAreaMM2(hw)}
+					pt.MeetsArea = areaLimitMM2 <= 0 || pt.ChipletAreaMM2 <= areaLimitMM2
+					ok := r.price(&pt)
 					stop()
 					if ok {
-						points = append(points, pt)
+						k := ((io*nA1+i1)*nW1+iw)*nA2 + i2
+						slots[k], valid[k] = pt, true
 					}
 				}
 			}
 		}
 	}
+	var points []Point
+	for k, ok := range valid {
+		if ok {
+			points = append(points, slots[k])
+		}
+	}
 	return points, swept, nil
 }
 
-// priceMemoryPoint re-prices the pooled candidates at one memory allocation
-// and returns the aggregated point; ok is false when some layer has no valid
-// candidate at these buffer sizes.
-func priceMemoryPoint(model workload.Model, hw hardware.Config, pool [][]candidate,
-	areaLimitMM2 float64, cm *hardware.CostModel) (Point, bool) {
-	pt := Point{HW: hw, ChipletAreaMM2: cm.ChipletAreaMM2(hw)}
-	pt.MeetsArea = areaLimitMM2 <= 0 || pt.ChipletAreaMM2 <= areaLimitMM2
-	for li, l := range model.Layers {
-		bestE := -1.0
-		var bestBr energy.Breakdown
-		var bestCycles int64
-		for _, c := range pool[li] {
-			if c.a.Map.Validate(l, hw) != nil {
-				continue
-			}
-			tr := c.a.TrafficAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
-			br := energy.FromTraffic(tr, hw, cm)
-			if bestE >= 0 && br.Total() >= bestE {
-				continue
-			}
-			r, err := sim.SimulateTraffic(c.a, tr)
-			if err != nil {
-				continue
-			}
-			bestE, bestBr, bestCycles = br.Total(), br, r.Cycles
+// candidate is one pooled mapping analysis of a shape, with what its
+// validity at a memory point depends on (the structural check and the
+// minimum buffer sizes on the compute configuration) and the memoized
+// traffic and simulator results of the current (A-L1, W-L1, A-L2) triple.
+type candidate struct {
+	a      *c3p.Analysis
+	needs  mapping.Needs
+	usable bool // structurally valid on the compute configuration
+
+	memo    uint8 // haveTraffic | haveSim
+	traffic c3p.Traffic
+	cycles  int64
+	simErr  error
+}
+
+// Memo states of a candidate within one (A-L1, W-L1, A-L2) triple.
+const (
+	haveTraffic uint8 = 1 << iota
+	haveSim
+)
+
+// shapePool is the candidate pool of one distinct layer shape on one
+// compute configuration.
+type shapePool struct {
+	layer workload.Layer // first layer of the shape
+	cands []candidate
+	best  choice // the current memory point's selection
+}
+
+// choice is a shape's selected candidate at one memory point.
+type choice struct {
+	br     energy.Breakdown
+	cycles int64
+	ok     bool
+}
+
+// distinctShapes groups layers by engine.ShapeOf, in order of first
+// appearance, and maps each layer to its shape's index.
+func distinctShapes(layers []workload.Layer) ([]*shapePool, []int) {
+	var shapes []*shapePool
+	shapeOf := make([]int, len(layers))
+	index := make(map[engine.ShapeKey]int)
+	for li, l := range layers {
+		key := engine.ShapeOf(l)
+		si, ok := index[key]
+		if !ok {
+			si = len(shapes)
+			index[key] = si
+			shapes = append(shapes, &shapePool{layer: l})
 		}
-		if bestE < 0 {
-			pt.SkippedLayers++
-			continue
+		shapeOf[li] = si
+	}
+	return shapes, shapeOf
+}
+
+// prepare runs the buffer-independent half of Mapping.Validate once per
+// candidate.
+func (sp *shapePool) prepare(comp hardware.Config) {
+	layerOK := sp.layer.Validate() == nil
+	for i := range sp.cands {
+		c := &sp.cands[i]
+		c.needs, c.usable = c.a.Map.Needs(sp.layer, comp)
+		c.usable = c.usable && layerOK
+	}
+}
+
+// repricer prices memory points of one compute configuration from its
+// per-shape candidate pools, on an interconnect built once.
+type repricer struct {
+	shapes  []*shapePool
+	shapeOf []int // layer index → shape index
+	cm      *hardware.CostModel
+	topo    noc.Topology
+	xbar    *noc.Crossbar
+	netErr  error // fails every simulation when the fabric cannot be built
+}
+
+// price selects each shape's candidate at the point's memory allocation and
+// sums the per-layer results into pt in layer order; it reports false when
+// some layer has no usable candidate.
+func (r *repricer) price(pt *Point) bool {
+	hwOK := pt.HW.Validate() == nil
+	for _, sp := range r.shapes {
+		sp.best = r.choose(sp, pt.HW, hwOK)
+		if !sp.best.ok {
+			return false
 		}
-		pt.Energy = pt.Energy.Add(bestBr)
-		pt.Seconds += hardware.Seconds(bestCycles)
+	}
+	for _, si := range r.shapeOf {
+		b := r.shapes[si].best
+		pt.Energy = pt.Energy.Add(b.br)
+		pt.Seconds += hardware.Seconds(b.cycles)
 		pt.MappedLayers++
 	}
-	return pt, pt.MappedLayers == len(model.Layers)
+	return true
+}
+
+// choose selects a shape's candidate at memory point hw: the lowest energy
+// among candidates that fit and simulate, the first in pool order on ties.
+// hwOK is hw.Validate() == nil.
+func (r *repricer) choose(sp *shapePool, hw hardware.Config, hwOK bool) choice {
+	best := choice{}
+	bestE := -1.0
+	for i := range sp.cands {
+		c := &sp.cands[i]
+		if !hwOK || !c.usable || !c.needs.Fits(hw) {
+			continue
+		}
+		if c.memo&haveTraffic == 0 {
+			c.traffic = c.a.TrafficAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
+			c.memo |= haveTraffic
+		}
+		br := energy.FromTraffic(c.traffic, hw, r.cm)
+		if bestE >= 0 && br.Total() >= bestE {
+			continue
+		}
+		if c.memo&haveSim == 0 {
+			c.simErr = r.netErr
+			if r.netErr == nil {
+				res, err := sim.SimulateTrafficOn(r.topo, r.xbar, c.a, c.traffic)
+				c.cycles, c.simErr = res.Cycles, err
+			}
+			c.memo |= haveSim
+		}
+		if c.simErr != nil {
+			continue
+		}
+		bestE = br.Total()
+		best = choice{br: br, cycles: c.cycles, ok: true}
+	}
+	return best
 }

@@ -16,35 +16,66 @@ import (
 // Feasible(l, hw) == (Validate(l, hw) == nil), a lockstep enforced by
 // TestFeasibleMatchesValidate.
 func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
+	n, ok := m.Needs(l, hw)
+	return ok && n.Fits(hw)
+}
+
+// Needs is the smallest buffer allocation, in bytes, at which a structurally
+// valid mapping passes Validate: the mapping fits a memory point exactly when
+// every buffer is at least its need.
+type Needs struct {
+	OL1, AL1, WL1, AL2 int64
+}
+
+// Fits reports whether every buffer of hw meets its need.
+func (n Needs) Fits(hw hardware.Config) bool {
+	return n.OL1 <= int64(hw.OL1Bytes) && n.AL1 <= int64(hw.AL1Bytes) &&
+		n.WL1 <= int64(hw.WL1Bytes) && n.AL2 <= int64(hw.AL2Bytes)
+}
+
+// Needs splits Validate into its two halves. It runs the structural checks
+// (split arity, patterns, tile bounds, rotation), which read only the
+// compute fields of hw (chiplets, cores, lanes, vector), and returns the
+// minimum buffer sizes from the same per-buffer requirements Validate
+// reports on; ok is false when no buffer allocation makes the mapping
+// valid. A rotating P-type split also needs its per-hop weight chunk to fit
+// the merged W-L1 pool of WeightShareCores buffers, so its W-L1 need is the
+// larger of the streaming chunk and ⌈chunk / WeightShareCores⌉.
+//
+// Like Feasible it assumes a valid layer and hardware configuration; under
+// that precondition Validate(l, hw) == nil exactly when ok && n.Fits(hw), so
+// a sweep over memory allocations can check the structure once per compute
+// configuration and each memory point with four integer compares.
+func (m Mapping) Needs(l workload.Layer, hw hardware.Config) (n Needs, ok bool) {
 	switch m.PackageSpatial {
 	case SpatialC:
 		if l.CO < hw.Chiplets {
-			return false
+			return n, false
 		}
 	case SpatialP:
 		if m.PackagePattern.Parts() != hw.Chiplets ||
 			m.PackagePattern.Rows > l.HO || m.PackagePattern.Cols > l.WO {
-			return false
+			return n, false
 		}
 	default:
-		return false
+		return n, false
 	}
 	csplit, planar := m.ChipletCSplit, m.ChipletPattern.Parts()
 	switch m.ChipletSpatial {
 	case SpatialC:
 		if csplit != hw.Cores || planar != 1 {
-			return false
+			return n, false
 		}
 	case SpatialP:
 		if csplit != 1 || planar != hw.Cores {
-			return false
+			return n, false
 		}
 	case SpatialH:
 		if csplit <= 1 || csplit >= hw.Cores || csplit*planar != hw.Cores {
-			return false
+			return n, false
 		}
 	default:
-		return false
+		return n, false
 	}
 	s := m.Shape(l, hw)
 	switch {
@@ -53,22 +84,18 @@ func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
 		m.HOc > s.HOs || m.WOc > s.WOs,
 		m.COt < csplit,
 		m.ChipletPattern.Rows > m.HOt || m.ChipletPattern.Cols > m.WOt:
-		return false
+		return n, false
 	}
 	if m.Rotate && hw.Chiplets == 1 {
-		return false
+		return n, false
 	}
-	if m.ol1Need(hw) > int64(hw.OL1Bytes) ||
-		m.al1Need(l, hw) > int64(hw.AL1Bytes) ||
-		m.wl1Need(l, hw) > int64(hw.WL1Bytes) ||
-		m.al2Need(l, hw) > int64(hw.AL2Bytes) {
-		return false
+	n = Needs{OL1: m.ol1Need(hw), AL1: m.al1Need(l, hw), WL1: m.wl1Need(l, hw), AL2: m.al2Need(l, hw)}
+	if m.Rotate && m.PackageSpatial == SpatialP {
+		// chunk > WL1·share  ⟺  WL1 < ⌈chunk / share⌉ for integer WL1.
+		share := int64(s.WeightShareCores)
+		n.WL1 = max(n.WL1, (m.rotatingChunk(l, hw)+share-1)/share)
 	}
-	if m.Rotate && m.PackageSpatial == SpatialP &&
-		m.rotatingChunk(l, hw) > m.wl1Pool(hw, s) {
-		return false
-	}
-	return true
+	return n, true
 }
 
 // Compare orders two mappings by a fixed lexicographic key over every field:

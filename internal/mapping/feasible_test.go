@@ -91,6 +91,57 @@ func TestFeasibleMatchesValidate(t *testing.T) {
 	if accepted < 100 {
 		t.Fatalf("only %d of the random mappings were valid; distribution too narrow", accepted)
 	}
+
+	// Needs is the memory-sweep form of the same contract: checked once per
+	// mapping, it must predict Validate at every Table II buffer allocation
+	// (O-L1 48–144 B/lane, A-L1 1–128 KB, W-L1 2–256 KB, A-L2 32–256 KB).
+	kb := func(xs ...int) []int {
+		for i := range xs {
+			xs[i] *= 1024
+		}
+		return xs
+	}
+	ol1PerLane, al1s, wl1s, al2s := []int{48, 96, 144}, kb(1, 2, 4, 8, 16, 32, 64, 128),
+		kb(2, 4, 8, 16, 32, 64, 96, 144, 256), kb(32, 64, 96, 128, 192, 256)
+	fits, rotationBound := 0, 0
+	for _, l := range layers {
+		for _, comp := range hws {
+			for i := 0; i < 60; i++ {
+				m := randomMapping(rng, l, comp)
+				if i%2 == 0 {
+					// Rotating P-type splits carry the ⌈chunk / pool⌉ W-L1 bound.
+					m.PackageSpatial, m.Rotate = SpatialP, true
+				}
+				n, ok := m.Needs(l, comp)
+				for _, ol1 := range ol1PerLane {
+					for _, al1 := range al1s {
+						for _, wl1 := range wl1s {
+							for _, al2 := range al2s {
+								hw := comp
+								hw.OL1Bytes, hw.AL1Bytes, hw.WL1Bytes = ol1*comp.Lanes, al1, wl1
+								hw.AL2Bytes, hw.OL2Bytes = al2, al2/2
+								err := m.Validate(l, hw)
+								if got := ok && n.Fits(hw); got != (err == nil) {
+									t.Fatalf("Needs ok=%v %+v fits=%v but Validate err=%v for %+v on %s/%s @ %s",
+										ok, n, got, err, m, l.Model, l.Name, hw)
+								}
+								if err == nil {
+									fits++
+								}
+								if ok && m.Rotate && int64(wl1) >= m.wl1Need(l, hw) && int64(wl1) < n.WL1 {
+									rotationBound++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if fits < 1000 || rotationBound < 100 {
+		t.Fatalf("buffer sweep too narrow: %d fitting points, %d decided by the rotating-chunk bound",
+			fits, rotationBound)
+	}
 }
 
 // TestCompareTotalOrder spot-checks Compare's contract: reflexive zero,

@@ -151,22 +151,24 @@ func (h *Histogram) Time(f func()) {
 }
 
 // quantileNS estimates the q-quantile (0..1) from the bucket counts: the
-// upper bound of the bucket holding the q-th observation.
+// upper bound of the bucket holding the q-th observation, clamped to the
+// observed [min, max] so the estimate never leaves the range it summarizes.
 func (h *Histogram) quantileNS(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
+	lo, hi := h.minNS.Load(), h.maxNS.Load()
 	rank := int64(math.Ceil(q * float64(n)))
 	var seen int64
 	for i := 0; i < histBuckets; i++ {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
 			// Upper edge of bucket i: 2^(i+1) µs.
-			return int64(1) << (i + 1) * int64(time.Microsecond)
+			return min(max(int64(1)<<(i+1)*int64(time.Microsecond), lo), hi)
 		}
 	}
-	return h.maxNS.Load()
+	return hi
 }
 
 // PhaseStats is the exported aggregate of one duration histogram.
@@ -176,7 +178,8 @@ type PhaseStats struct {
 	MeanMS  float64 `json:"mean_ms"`
 	MinMS   float64 `json:"min_ms"`
 	MaxMS   float64 `json:"max_ms"`
-	// P95MS is a bucket-resolution (power-of-two) upper-bound estimate.
+	// P95MS is a bucket-resolution (power-of-two) upper-bound estimate,
+	// clamped to [MinMS, MaxMS].
 	P95MS float64 `json:"p95_ms"`
 }
 

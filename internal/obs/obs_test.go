@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"os"
 	"strings"
@@ -77,6 +78,29 @@ func TestCountersGaugesPhases(t *testing.T) {
 	}
 	if st.P95MS < st.MaxMS {
 		t.Errorf("p95 upper bound %.3f below max %.3f", st.P95MS, st.MaxMS)
+	}
+}
+
+// TestQuantileWithinMinMax is the honesty property of the bucketed p95: over
+// random observation sets spanning sub-microsecond to multi-second
+// durations, the estimate never leaves the observed [min, max].
+func TestQuantileWithinMinMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		var h Histogram
+		for i, n := 0, rng.Intn(50)+1; i < n; i++ {
+			// Log-uniform over 1ns..~17s, so every bucket gets hit.
+			h.Observe(time.Duration(int64(1) << rng.Intn(35) * (1 + rng.Int63n(2))))
+		}
+		st := h.Stats()
+		if st.P95MS < st.MinMS || st.P95MS > st.MaxMS {
+			t.Fatalf("trial %d: p95 %.6f ms outside [%.6f, %.6f] ms", trial, st.P95MS, st.MinMS, st.MaxMS)
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			if v := h.quantileNS(q); v < h.minNS.Load() || v > h.maxNS.Load() {
+				t.Fatalf("trial %d: q%.2f = %d ns outside [%d, %d]", trial, q, v, h.minNS.Load(), h.maxNS.Load())
+			}
+		}
 	}
 }
 
