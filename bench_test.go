@@ -387,6 +387,31 @@ func BenchmarkSearchLayerPrunedSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchLayerVGG512MinAnchor is the search the Fig 15 sweep of
+// VGG-16@512 spends most of its time in: a 256-channel 128×128 conv on the
+// rotating 4-8-8-8 tuple at its minimum anchor (48 B/lane O-L1, 1 KB A-L1,
+// 2 KB W-L1, 32 KB A-L2), as the anchor harvest asks for it. At these
+// buffers the rotating weight chunk rules out most chiplet tiles, so the
+// benchmark tracks the frontier's level-wise feasibility checks.
+func BenchmarkSearchLayerVGG512MinAnchor(b *testing.B) {
+	l, err := workload.VGG16(512).Layer("conv6")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hw := hardware.CaseStudy()
+	hw.OL1Bytes, hw.AL1Bytes, hw.WL1Bytes = 48*hw.Lanes, 1024, 2048
+	hw.AL2Bytes, hw.OL2Bytes = 32*1024, 16*1024
+	ctr := &mapper.Counters{HeapPopped: &obs.Counter{}}
+	cfg := mapper.Config{Objective: mapper.MinEnergy, KeepTop: 4, Counters: ctr}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(mapper.SearchAll(l, hw, benchCM, cfg)) == 0 {
+			b.Fatal("no options")
+		}
+	}
+	b.ReportMetric(float64(ctr.HeapPopped.Value())/float64(b.N), "popped/op")
+}
+
 // BenchmarkEngineEvalModelResNet50Cold measures a full ResNet-50 search on a
 // fresh engine: shape deduplication applies within the model (unique shapes
 // only), but nothing is pre-cached.

@@ -221,6 +221,7 @@ func exploreComputes(ctx context.Context, model workload.Model, space Space, tot
 	// Progress is tracked per compute configuration (the unit of anchor
 	// harvesting); the memory cross-product within each is pure re-pricing.
 	track := obs.NewTracker(eng.ProgressSink(), label, len(computes))
+	track.SetNote(eng.SearchNote)
 	// Serpentine neighbor order keeps consecutive compute configurations
 	// adjacent, so the engine's warm-start hints stay hot point-to-point;
 	// the canonical re-sort below makes output order-independent, and shard

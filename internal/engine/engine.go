@@ -130,13 +130,15 @@ type Stats struct {
 	// Search funnel tallies, aggregated over every search the engine ran
 	// (see mapper.Counters): candidates generated, pruned by the admissible
 	// bound, pruned between pipeline stages, and fully evaluated, plus the
-	// best-first frontier's exact floor computations and heap pops.
+	// best-first frontier's exact floor computations and heap pops, and the
+	// popped cells that then failed feasibility.
 	Generated      int64
 	BoundPruned    int64
 	StagePruned    int64
 	Evaluated      int64
 	FloorsComputed int64
 	HeapPopped     int64
+	Infeasible     int64
 
 	// Warm-start tallies (zero with Config.DisableWarmStart): searches seeded
 	// from a solved neighbor point's hint, searches that looked for a hint
@@ -166,9 +168,9 @@ func (s Stats) String() string {
 	out := fmt.Sprintf("engine: %d lookups, %d searches, %d hits, %d coalesced (%.1fx dedup)",
 		s.Lookups, s.Searches, s.Hits, s.Coalesced, dedup)
 	if s.Generated > 0 {
-		out += fmt.Sprintf("; search: %d candidates, %d bound-pruned, %d stage-pruned, %d evaluated (%.1f%% pruned), %d floors, %d heap pops",
+		out += fmt.Sprintf("; search: %d candidates, %d bound-pruned, %d stage-pruned, %d evaluated (%.1f%% pruned), %d floors, %d heap pops, %d infeasible",
 			s.Generated, s.BoundPruned, s.StagePruned, s.Evaluated, 100*s.PrunedFraction(),
-			s.FloorsComputed, s.HeapPopped)
+			s.FloorsComputed, s.HeapPopped, s.Infeasible)
 	}
 	if s.WarmStartHits > 0 || s.WarmStartMisses > 0 {
 		gap := 0.0
@@ -287,6 +289,7 @@ func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {
 			Evaluated:      reg.Counter("mapper.candidates_evaluated"),
 			FloorsComputed: reg.Counter("mapper.floors_computed"),
 			HeapPopped:     reg.Counter("mapper.heap_popped"),
+			Infeasible:     reg.Counter("mapper.cells_infeasible"),
 		}
 	} else {
 		e.lookups, e.searches = &obs.Counter{}, &obs.Counter{}
@@ -302,6 +305,7 @@ func NewFromConfig(cm *hardware.CostModel, cfg Config) *Evaluator {
 			Generated: &obs.Counter{}, BoundPruned: &obs.Counter{},
 			StagePruned: &obs.Counter{}, Evaluated: &obs.Counter{},
 			FloorsComputed: &obs.Counter{}, HeapPopped: &obs.Counter{},
+			Infeasible: &obs.Counter{},
 		}
 	}
 	return e
@@ -346,6 +350,7 @@ func (e *Evaluator) Stats() Stats {
 		Evaluated:      e.searchCtrs.Evaluated.Value(),
 		FloorsComputed: e.searchCtrs.FloorsComputed.Value(),
 		HeapPopped:     e.searchCtrs.HeapPopped.Value(),
+		Infeasible:     e.searchCtrs.Infeasible.Value(),
 
 		WarmStartHits:    e.warmHits.Value(),
 		WarmStartMisses:  e.warmMisses.Value(),
@@ -353,11 +358,12 @@ func (e *Evaluator) Stats() Stats {
 	}
 }
 
-// pruneNote renders the live search-funnel state for sweep progress lines:
-// how many mapping candidates the searches have generated so far and what
-// fraction the branch-and-bound pruning discarded before full evaluation.
-// Returns "" until the first search generates candidates.
-func (e *Evaluator) pruneNote() string {
+// SearchNote renders the live search-funnel state for sweep progress lines:
+// how many mapping candidates the searches have generated so far, what
+// fraction the branch-and-bound pruning discarded before full evaluation,
+// and how many frontier pops landed on infeasible cells. Returns "" until
+// the first search generates candidates.
+func (e *Evaluator) SearchNote() string {
 	gen := e.searchCtrs.Generated.Value()
 	if gen == 0 {
 		return ""
@@ -366,6 +372,9 @@ func (e *Evaluator) pruneNote() string {
 	note := fmt.Sprintf("%d candidates, %.1f%% pruned", gen, 100*float64(pruned)/float64(gen))
 	if fl := e.searchCtrs.FloorsComputed.Value(); fl > 0 {
 		note += fmt.Sprintf(", %d floors", fl)
+	}
+	if p := e.searchCtrs.HeapPopped.Value(); p > 0 {
+		note += fmt.Sprintf(", %d pops, %d infeasible", p, e.searchCtrs.Infeasible.Value())
 	}
 	if h, m := e.warmHits.Value(), e.warmMisses.Value(); h+m > 0 {
 		note += fmt.Sprintf(", warm %d/%d", h, h+m)
@@ -776,7 +785,7 @@ func (e *Evaluator) EvalSweep(ctx context.Context, models []workload.Model, hws 
 	cfg = normalize(cfg)
 	pts := make([]SweepPoint, len(hws))
 	track := obs.NewTracker(e.sink, "sweep", len(hws))
-	track.SetNote(e.pruneNote)
+	track.SetNote(e.SearchNote)
 	sig := modelsSig(models)
 	jrn := e.cfg.Journal
 	// Evaluate in serpentine neighbor order so each point's searches are

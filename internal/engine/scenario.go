@@ -244,7 +244,7 @@ func (e *Evaluator) DegradationSweep(ctx context.Context, models []workload.Mode
 	cfg = normalize(cfg)
 	pts := make([]ScenarioPoint, len(masks))
 	track := obs.NewTracker(e.sink, "degradation", len(masks))
-	track.SetNote(e.pruneNote)
+	track.SetNote(e.SearchNote)
 	sig := modelsSig(models)
 	jrn := e.cfg.Journal
 	err := ParallelFor(ctx, len(masks), e.cfg.Workers, func(i int) error {

@@ -68,7 +68,15 @@ func TestWarmStartSweepByteIdentical(t *testing.T) {
 		t.Errorf("disabled warm-start still ran: %+v", st)
 	}
 
-	eWarm := NewFromConfig(cm, Config{})
+	// A hint seeds a search only once its neighbour point has finished, and
+	// in this grid only an A-L1 step within one core count yields members of
+	// the next space (a core-count step reshapes the chiplet splits). With
+	// two or more workers the sweep runs the two points of each such pair
+	// side by side, so whether any seed lands depends on scheduling. One
+	// worker evaluates the points in serpentine order, which solves
+	// (cores/2, A-L1) before (cores/2, 2·A-L1): the precondition of the
+	// hits > 0 check holds by ordering, not by timing.
+	eWarm := NewFromConfig(cm, Config{Workers: 1})
 	warmPts, err := eWarm.EvalSweep(bg, models, hws, mapper.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +96,7 @@ func TestWarmStartSweepByteIdentical(t *testing.T) {
 	// The funnel and warm-start tallies surface through Stats.String for the
 	// CLI -stats flag.
 	rendered := st.String()
-	for _, want := range []string{"floors", "heap pops", "warm-start"} {
+	for _, want := range []string{"floors", "heap pops", "infeasible", "warm-start"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("Stats.String() = %q missing %q", rendered, want)
 		}
@@ -182,13 +190,15 @@ func TestWarmStartAcrossDiskCache(t *testing.T) {
 	}
 
 	// Shard 2 (fresh process: fresh evaluator, reopened store) sweeps every
-	// point: point 0 replays from disk and its mappings seed the rest.
+	// point: point 0 replays from disk and its mappings seed the rest. One
+	// worker replays point 0 before point 1 searches; with two, point 1
+	// could start before the replay had recorded its hints.
 	s2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	shard2 := NewFromConfig(cm, Config{Cache: s2})
+	shard2 := NewFromConfig(cm, Config{Cache: s2, Workers: 1})
 	warmPts, err := shard2.EvalSweep(bg, models, hws, mapper.Config{})
 	if err != nil {
 		t.Fatal(err)

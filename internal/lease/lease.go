@@ -1,19 +1,21 @@
 // Package lease shards a DSE sweep across worker processes with nothing but
 // files on a shared directory — no coordinator, no network. The study's point
-// range is cut into numbered shards; a worker claims a shard by exclusively
-// creating its lease file, renews the lease by rewriting it while it works,
-// and marks the shard done with a separate done marker. A worker that dies
-// (SIGKILL, OOM, power) simply stops heartbeating: once its lease expires,
-// any surviving worker takes the shard over and re-evaluates it, which is
-// safe because point evaluation is deterministic and journal records are
-// keyed — a duplicated point carries an identical value.
+// range is cut into numbered shards; a worker owns a shard by holding its
+// newest lease generation, renews that generation while it works, and marks
+// the shard done with a separate done marker. A worker that dies (SIGKILL,
+// OOM, power) simply stops heartbeating: once its lease expires, any
+// surviving worker takes the shard over and re-evaluates it, which is safe
+// because point evaluation is deterministic and journal records are keyed —
+// a duplicated point carries an identical value.
 //
-// The takeover path is the only race: two workers may observe the same
-// expired lease. Both write a candidate lease to a temp file and rename it
-// over the stale one, then read the file back — rename is atomic, so exactly
-// one worker's nonce survives and the loser backs off. The claim path has no
-// race at all (O_EXCL create admits one winner), and the done path is
-// monotonic (done markers are never removed).
+// Ownership is single-winner by construction. Lease generations are numbered
+// files, shard-NNNN.gG.lease, and the newest one is the shard's lease. A
+// claim or takeover installs generation G+1 by link(2)-ing a fully written
+// temp file to its name: the link fails with EEXIST when another contender
+// got there first, so each generation is created exactly once, by one
+// worker, and is never torn. A heartbeat rewrites only its own generation
+// and fails once a newer one exists. Done markers are monotonic (never
+// removed) and authoritative: they beat any lease.
 //
 // Leases bind to a study signature: a directory accidentally shared by two
 // different sweeps refuses to cross-claim, the same guard ckpt.MergeFiles
@@ -28,6 +30,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -39,7 +43,8 @@ var ErrAllDone = errors.New("lease: all shards done")
 // unfinished shards remain, all currently covered by live leases.
 var ErrContended = errors.New("lease: all remaining shards are leased")
 
-// lease is the wire format of a lease file.
+// lease is the wire format of a lease file. A zero Deadline marks a lease its
+// owner released: the next claim is a fresh claim, not a takeover.
 type lease struct {
 	Study    string `json:"study"`
 	Shard    int    `json:"shard"`
@@ -83,10 +88,11 @@ type Manager struct {
 	opts  Options
 	rng   *rand.Rand
 
-	// nonce identifies this Manager's live lease on the claimed shard.
+	// nonce identifies this Manager's live lease, generation gen of shard.
 	nonce int64
 	shard int
-	// takeovers counts expired or torn leases this Manager won by rename —
+	gen   int
+	// takeovers counts expired or torn leases this Manager superseded —
 	// shards reclaimed from dead peers rather than freshly claimed.
 	takeovers int
 }
@@ -133,8 +139,37 @@ func (m *Manager) Jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.9 + 0.2*m.rng.Float64()))
 }
 
-func (m *Manager) leasePath(shard int) string {
-	return filepath.Join(m.dir, fmt.Sprintf("shard-%04d.lease", shard))
+// genPath names one lease generation of a shard.
+func (m *Manager) genPath(shard, gen int) string {
+	return filepath.Join(m.dir, fmt.Sprintf("shard-%04d.g%d.lease", shard, gen))
+}
+
+// generations lists the lease generations present for a shard, unordered.
+func (m *Manager) generations(shard int) []int {
+	prefix := fmt.Sprintf("shard-%04d.g", shard)
+	// Glob fails only on a malformed pattern, and this one is fixed.
+	names, _ := filepath.Glob(filepath.Join(m.dir, prefix+"*.lease"))
+	gens := make([]int, 0, len(names))
+	for _, name := range names {
+		g, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), prefix), ".lease"))
+		if err == nil && g > 0 {
+			gens = append(gens, g)
+		}
+	}
+	return gens
+}
+
+// current returns a shard's newest lease generation (0 when it has none)
+// and that lease; ok is false when there is none or it does not decode.
+func (m *Manager) current(shard int) (gen int, l lease, ok bool) {
+	for _, g := range m.generations(shard) {
+		gen = max(gen, g)
+	}
+	if gen == 0 {
+		return 0, lease{}, false
+	}
+	l, ok = m.read(m.genPath(shard, gen))
+	return gen, l, ok
 }
 
 func (m *Manager) donePath(shard int) string { return donePathIn(m.dir, shard) }
@@ -150,8 +185,8 @@ func (m *Manager) Done(shard int) bool {
 }
 
 // read parses a lease file; a missing or undecodable file returns ok=false
-// (an undecodable lease is a torn write from a dying worker — it never
-// protects the shard).
+// (generations are installed whole, so an undecodable lease is damage on
+// disk — it never protects the shard).
 func (m *Manager) read(path string) (lease, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -164,34 +199,59 @@ func (m *Manager) read(path string) (lease, bool) {
 	return l, true
 }
 
-// write atomically installs a lease file via temp + rename and reads it back:
-// the returned bool reports whether our nonce survived, i.e. whether we won
-// any concurrent install of the same path.
-func (m *Manager) write(path string, l lease) (bool, error) {
+// writeTemp writes l to a fresh temp file in the lease directory and returns
+// its name.
+func (m *Manager) writeTemp(l lease) (string, error) {
 	data, err := json.Marshal(l)
 	if err != nil {
-		return false, fmt.Errorf("lease: %w", err)
+		return "", fmt.Errorf("lease: %w", err)
 	}
 	tmp, err := os.CreateTemp(m.dir, ".lease-*")
 	if err != nil {
+		return "", fmt.Errorf("lease: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", fmt.Errorf("lease: %w", err)
+	}
+	return tmp.Name(), nil
+}
+
+// install creates a lease generation by linking a fully written temp file to
+// path. It reports false when path already exists: link(2) never replaces a
+// file, so of all contenders for one generation exactly one wins.
+func (m *Manager) install(path string, l lease) (bool, error) {
+	tmp, err := m.writeTemp(l)
+	if err != nil {
+		return false, err
+	}
+	defer os.Remove(tmp)
+	if err := os.Link(tmp, path); err != nil {
+		if errors.Is(err, os.ErrExist) {
+			return false, nil
+		}
 		return false, fmt.Errorf("lease: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return false, fmt.Errorf("lease: %w", err)
+	return true, nil
+}
+
+// rewrite atomically replaces this Manager's own generation file (temp +
+// rename). No other worker ever writes that file: a contender creates the
+// next generation instead.
+func (m *Manager) rewrite(l lease) error {
+	tmp, err := m.writeTemp(l)
+	if err != nil {
+		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("lease: %w", err)
+	if err := os.Rename(tmp, m.genPath(m.shard, m.gen)); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("lease: %w", err)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("lease: %w", err)
-	}
-	back, ok := m.read(path)
-	return ok && back.Nonce == l.Nonce && back.Owner == l.Owner, nil
+	return nil
 }
 
 // fresh builds a new lease for shard with a new nonce.
@@ -203,35 +263,14 @@ func (m *Manager) fresh(shard int) lease {
 	}
 }
 
-// tryClaimOne attempts to acquire one specific shard: O_EXCL-create a fresh
-// lease, or take over an expired (or torn) one via atomic rename with
-// read-back verification.
+// tryClaimOne attempts to acquire one specific shard: install the generation
+// after the newest one when the shard has no lease, or its newest lease is
+// expired, released or torn.
 func (m *Manager) tryClaimOne(shard int) (bool, error) {
 	if m.Done(shard) {
 		return false, nil
 	}
-	path := m.leasePath(shard)
-	l := m.fresh(shard)
-	data, err := json.Marshal(l)
-	if err != nil {
-		return false, fmt.Errorf("lease: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err == nil {
-		_, werr := f.Write(data)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return false, fmt.Errorf("lease: claim shard %d: %w", shard, werr)
-		}
-		m.shard = shard
-		return true, nil
-	}
-	if !errors.Is(err, os.ErrExist) {
-		return false, fmt.Errorf("lease: claim shard %d: %w", shard, err)
-	}
-	cur, ok := m.read(path)
+	gen, cur, ok := m.current(shard)
 	if ok {
 		if cur.Study != m.study {
 			return false, fmt.Errorf("lease: shard %d is leased for study %q, not %q — directory shared across sweeps",
@@ -241,22 +280,22 @@ func (m *Manager) tryClaimOne(shard int) (bool, error) {
 			return false, nil // live lease: someone else is on it
 		}
 	}
-	// Expired or torn: contend for the takeover. Rename is atomic and the
-	// read-back tells us whose install survived.
-	won, err := m.write(path, l)
-	if err != nil {
+	// Contend for the next generation. Every contender that saw the same
+	// newest generation links the same name, and only one link succeeds.
+	won, err := m.install(m.genPath(shard, gen+1), m.fresh(shard))
+	if err != nil || !won {
 		return false, err
 	}
-	if !won {
-		return false, nil
-	}
 	if m.Done(shard) {
-		// The old owner finished between our expiry check and the takeover;
+		// The old owner finished between our expiry check and the install;
 		// the done marker is authoritative, our lease is moot.
+		os.Remove(m.genPath(shard, gen+1))
 		return false, nil
 	}
-	m.shard = shard
-	m.takeovers++
+	m.shard, m.gen = shard, gen+1
+	if gen > 0 && (!ok || cur.Deadline != 0) {
+		m.takeovers++
+	}
 	return true, nil
 }
 
@@ -299,34 +338,47 @@ func (m *Manager) TryClaim(ctx context.Context, shards int) (int, error) {
 	}
 }
 
-// Heartbeat renews the held lease, extending its deadline by one TTL. It
-// fails if this worker's nonce no longer owns the lease file — the lease
-// expired and another worker took the shard over; the caller must abandon
-// the shard (its work is not wasted: keyed, deterministic journal records
-// merge cleanly with the new owner's).
+// Heartbeat renews the held lease generation, extending its deadline by one
+// TTL. It fails once the shard is done or a newer generation exists — the
+// lease expired and another worker took the shard over; the caller must
+// abandon the shard (its work is not wasted: keyed, deterministic journal
+// records merge cleanly with the new owner's). A taker can read the expired
+// deadline just before a late renewal lands, so the old owner may learn of
+// the takeover one heartbeat late; the new generation still has one owner.
 func (m *Manager) Heartbeat() error {
 	if m.shard < 0 {
 		return errors.New("lease: no shard held")
 	}
-	path := m.leasePath(m.shard)
-	cur, ok := m.read(path)
-	if !ok || cur.Nonce != m.nonce {
+	if m.lost() {
 		return fmt.Errorf("lease: shard %d was taken over (lease lost)", m.shard)
 	}
-	cur.Deadline = m.now().Add(m.opts.TTL).UnixNano()
-	won, err := m.write(path, cur)
-	if err != nil {
+	l := lease{Study: m.study, Shard: m.shard, Owner: m.owner, Nonce: m.nonce,
+		Deadline: m.now().Add(m.opts.TTL).UnixNano()}
+	if err := m.rewrite(l); err != nil {
 		return err
 	}
-	if !won {
+	if m.lost() {
 		return fmt.Errorf("lease: shard %d was taken over during heartbeat", m.shard)
 	}
 	return nil
 }
 
-// Complete writes the held shard's done marker and releases the lease. Done
-// markers are never removed, so completion is monotonic even if a stale
-// former owner later scribbles on the lease file.
+// lost reports whether the held generation no longer owns the shard: the
+// shard is done, a newer generation exists, or the file is not ours.
+func (m *Manager) lost() bool {
+	if m.Done(m.shard) {
+		return true
+	}
+	if _, err := os.Stat(m.genPath(m.shard, m.gen+1)); err == nil {
+		return true
+	}
+	cur, ok := m.read(m.genPath(m.shard, m.gen))
+	return !ok || cur.Nonce != m.nonce
+}
+
+// Complete writes the held shard's done marker, then removes the shard's
+// lease generations. Done markers are never removed, so completion is
+// monotonic even if a stale former owner later rewrites its generation.
 func (m *Manager) Complete() error {
 	if m.shard < 0 {
 		return errors.New("lease: no shard held")
@@ -356,25 +408,26 @@ func (m *Manager) Complete() error {
 		os.Remove(tmpName)
 		return fmt.Errorf("lease: %w", err)
 	}
-	os.Remove(m.leasePath(m.shard))
-	m.shard = -1
-	m.nonce = 0
+	for _, g := range m.generations(m.shard) {
+		os.Remove(m.genPath(m.shard, g))
+	}
+	m.shard, m.gen, m.nonce = -1, 0, 0
 	return nil
 }
 
-// Release abandons the held shard without completing it: the lease file is
-// removed if we still own it, so another worker can claim the shard
-// immediately instead of waiting out the TTL.
+// Release abandons the held shard without completing it: if the held
+// generation still owns the shard it is rewritten as released (zero
+// deadline), so another worker can claim the shard immediately instead of
+// waiting out the TTL.
 func (m *Manager) Release() {
 	if m.shard < 0 {
 		return
 	}
-	path := m.leasePath(m.shard)
-	if cur, ok := m.read(path); ok && cur.Nonce == m.nonce {
-		os.Remove(path)
+	if !m.lost() {
+		// A failed rewrite leaves the lease to expire on its TTL instead.
+		_ = m.rewrite(lease{Study: m.study, Shard: m.shard, Owner: m.owner, Nonce: m.nonce})
 	}
-	m.shard = -1
-	m.nonce = 0
+	m.shard, m.gen, m.nonce = -1, 0, 0
 }
 
 // Shard returns the currently held shard index, or -1.

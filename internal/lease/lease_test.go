@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -40,8 +43,8 @@ func TestClaimHeartbeatComplete(t *testing.T) {
 	if !m.Done(0) {
 		t.Error("done marker missing")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-0000.lease")); !errors.Is(err, os.ErrNotExist) {
-		t.Error("lease file not released on completion")
+	if gens := m.generations(0); len(gens) != 0 {
+		t.Errorf("lease generations %v not released on completion", gens)
 	}
 	// The next claim skips the done shard.
 	shard, err = m.TryClaim(bg, 2)
@@ -109,12 +112,15 @@ func TestExpiredLeaseReclaimed(t *testing.T) {
 // mid-write) as expired: it never protects the shard.
 func TestTornLeaseReclaimed(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "shard-0000.lease"), []byte(`{"study":"study-si`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "shard-0000.g1.lease"), []byte(`{"study":"study-si`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m := mgr(t, dir, "w", Options{TTL: time.Minute})
 	if shard, err := m.TryClaim(bg, 1); err != nil || shard != 0 {
 		t.Fatalf("torn-lease claim = %d, %v", shard, err)
+	}
+	if m.gen != 2 || m.Takeovers() != 1 {
+		t.Errorf("torn-lease claim installed generation %d with %d takeovers, want 2 and 1", m.gen, m.Takeovers())
 	}
 }
 
@@ -147,12 +153,13 @@ func TestReleaseFreesShardImmediately(t *testing.T) {
 }
 
 // TestTakeoverRaceSingleWinner contends many managers for one expired lease;
-// exactly one may win, decided by the rename + read-back nonce check.
+// exactly one may win, decided by which link(2) of the next generation
+// succeeds.
 func TestTakeoverRaceSingleWinner(t *testing.T) {
 	dir := t.TempDir()
 	stale := lease{Study: "study-sig", Shard: 0, Owner: "dead", Nonce: 1, Deadline: 1}
 	data, _ := json.Marshal(stale)
-	if err := os.WriteFile(filepath.Join(dir, "shard-0000.lease"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "shard-0000.g1.lease"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	const contenders = 8
@@ -180,6 +187,95 @@ func TestTakeoverRaceSingleWinner(t *testing.T) {
 	}
 	if won != 1 {
 		t.Errorf("%d contenders won the takeover, want exactly 1", won)
+	}
+}
+
+// TestTakeoverGenerationsStress runs rounds of takeovers on one shard under
+// an injected clock and counts the winners of every lease generation. In
+// each round a fresh set of contenders races for the shard after the clock
+// has moved past the holder's deadline; on odd rounds the holder heartbeats
+// at the same time, as a slow but live worker would. Each generation must
+// have exactly one winner, and after each round exactly one worker — the
+// round's winner, or the holder when its renewal landed first — may still
+// renew the lease.
+func TestTakeoverGenerationsStress(t *testing.T) {
+	const contenders, rounds = 8, 60
+	dir := t.TempDir()
+	var clock atomic.Int64
+	clock.Store(time.Now().UnixNano())
+	now := func() time.Time { return time.Unix(0, clock.Load()) }
+	opts := Options{TTL: time.Minute, Retries: 1, Backoff: time.Microsecond, Now: now}
+
+	winners := make(map[int]int) // generation -> managers that won it
+	holder := mgr(t, dir, "first", opts)
+	if _, err := holder.TryClaim(bg, 1); err != nil {
+		t.Fatal(err)
+	}
+	winners[holder.gen]++
+	for r := 0; r < rounds; r++ {
+		clock.Add(int64(2 * time.Minute))
+		won := make(chan *Manager, contenders)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < contenders; i++ {
+			m := mgr(t, dir, fmt.Sprintf("r%d-w%d", r, i), opts)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if shard, err := m.TryClaim(bg, 1); err == nil && shard == 0 {
+					won <- m
+				}
+			}()
+		}
+		if r%2 == 1 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_ = holder.Heartbeat() // may win or lose the race; checked below
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(won)
+		var next *Manager
+		for m := range won {
+			winners[m.gen]++
+			if next != nil {
+				t.Fatalf("round %d: %s and %s both claimed the shard (generations %d, %d)",
+					r, next.owner, m.owner, next.gen, m.gen)
+			}
+			next = m
+		}
+		if next == nil {
+			if r%2 == 0 {
+				t.Fatalf("round %d: nobody took over a dead holder's expired lease", r)
+			}
+			if err := holder.Heartbeat(); err != nil {
+				t.Fatalf("round %d: no takeover, yet the holder lost its lease: %v", r, err)
+			}
+			continue
+		}
+		if err := holder.Heartbeat(); err == nil {
+			t.Fatalf("round %d: the superseded holder (generation %d) still renews next to generation %d",
+				r, holder.gen, next.gen)
+		}
+		if err := next.Heartbeat(); err != nil {
+			t.Fatalf("round %d: the new holder cannot renew: %v", r, err)
+		}
+		holder = next
+	}
+	top := 0
+	for g, n := range winners {
+		if n != 1 {
+			t.Errorf("generation %d has %d winners", g, n)
+		}
+		top = max(top, g)
+	}
+	if top != len(winners) || top < rounds/2+1 {
+		t.Errorf("generations 1..%d with %d winners recorded; want every generation present and at least %d",
+			top, len(winners), rounds/2+1)
 	}
 }
 

@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
 	"nnbaton/internal/noc"
+	"nnbaton/internal/obs"
+	"nnbaton/internal/par"
 	"nnbaton/internal/workload"
 )
 
@@ -47,18 +51,20 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s obj=%v fault=%s",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Objective, cfg.Fault)
 		for _, st := range subtrees(l, hw, cfg) {
-			var cots []int
-			for _, cot := range tileCandidates(st.cop, st.cop) {
-				if cot >= st.cs.csplit {
-					cots = append(cots, cot)
-				}
-			}
+			// The frontier's tile list: the group bound is taken over the
+			// tiles that survive the rotating-chunk check.
+			base := st.base()
+			cots := srch.chipletTiles(st, base)
 			if len(cots) == 0 {
 				continue
 			}
 			for _, pp := range planarPairs(st.hop, st.wop) {
 				hot, wot := pp[0], pp[1]
 				if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
+					continue
+				}
+				base.HOt, base.WOt = hot, wot
+				if !base.PlanarTileFits(l, hw) {
 					continue
 				}
 				g := bfGroup{hot: hot, wot: wot,
@@ -71,11 +77,8 @@ func TestGroupBoundAdmissible(t *testing.T) {
 				for ci, cot := range cots {
 					sub := srch.groupBound(st, cots[ci:ci+1], g)
 					for pi, cp := range g.cps {
-						probe := mapping.Mapping{
-							PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
-							ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
-							COt: cot, HOt: hot, WOt: wot, HOc: cp[0], WOc: cp[1],
-						}
+						probe := base
+						probe.COt, probe.HOc, probe.WOc = cot, cp[0], cp[1]
 						if !probe.Feasible(l, hw) {
 							continue
 						}
@@ -101,6 +104,101 @@ func TestGroupBoundAdmissible(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fig15Anchors returns the memory allocations at which the Fig 15 sweep
+// searches a compute tuple (dse.anchorConfigs over Table II): the maximum,
+// the minimum and the proportional allocation.
+func fig15Anchors(comp hardware.Config) []hardware.Config {
+	mk := func(ol1PerLane, al1KB, wl1KB, al2KB int) hardware.Config {
+		hw := comp
+		hw.OL1Bytes = ol1PerLane * comp.Lanes
+		hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes = al1KB*1024, wl1KB*1024, al2KB*1024
+		hw.OL2Bytes = hw.AL2Bytes / 2
+		return hw
+	}
+	return []hardware.Config{
+		mk(144, 128, 256, 256),
+		mk(48, 1, 2, 32),
+		comp.WithProportionalMemory(hardware.DefaultProportion()),
+	}
+}
+
+// TestFrontierRejectsAtDecidingLevel pins the frontier's level-wise
+// feasibility: no popped cell fails a buffer need that a coarser level
+// decides — the streaming W-L1 chunk per search, the rotating weight chunk
+// per chiplet tile, the rotating activation chunk per planar pair. It runs
+// the model zoo at the three Fig 15 anchors of several compute tuples. At
+// the minimum anchor of a 16-lane, 16-wide tuple the streaming W-L1 need of
+// every 3×3 layer fails, and there the search must pop nothing and return
+// the same empty result the unchecked frontier finds.
+func TestFrontierRejectsAtDecidingLevel(t *testing.T) {
+	cm := hardware.MustCostModel()
+	tuples := [][4]int{{4, 8, 8, 8}, {2, 8, 16, 16}, {8, 4, 8, 8}, {4, 4, 16, 8}, {1, 16, 8, 16}}
+	res := 224
+	if testing.Short() {
+		tuples, res = tuples[:2], 64
+	}
+	layers := uniqueZooLayers(res)
+	var cells, wl1Rejects int
+	for _, tu := range tuples {
+		comp := hardware.CaseStudy()
+		comp.Chiplets, comp.Cores, comp.Lanes, comp.Vector = tu[0], tu[1], tu[2], tu[3]
+		for _, hw := range fig15Anchors(comp) {
+			if hw.Validate() != nil {
+				continue
+			}
+			for _, l := range layers {
+				ctx := fmt.Sprintf("%s/%s on %s (W-L1 %d B, A-L2 %d B)", l.Model, l.Name, hw.Tuple(), hw.WL1Bytes, hw.AL2Bytes)
+				cfg := Config{KeepTop: 4}
+				sts := subtrees(l, hw, cfg)
+				topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
+				if err != nil || len(sts) == 0 {
+					continue
+				}
+				num, den := topo.D2DScale()
+				var mu sync.Mutex
+				var rejected int64
+				srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den,
+					rejected: func(m mapping.Mapping) {
+						mu.Lock()
+						defer mu.Unlock()
+						rejected++
+						if !mapping.StreamingWL1Fits(l, hw) || !m.ChipletTileFits(l, hw) || !m.PlanarTileFits(l, hw) {
+							t.Fatalf("%s: popped cell %+v fails a need its group decides", ctx, m)
+						}
+					}}
+				var ws searchState
+				ws.init(hw, cfg.Fault)
+				unchecked := newTopK(cfg.KeepTop, cfg.Objective)
+				if mapping.StreamingWL1Fits(l, hw) {
+					srch.runFrontier(sts, &ws, unchecked, par.NewMinBound())
+					if ws.tally.infeasible != rejected {
+						t.Fatalf("%s: tally counts %d infeasible cells, hook saw %d", ctx, ws.tally.infeasible, rejected)
+					}
+					cells += int(ws.tally.popped)
+					continue
+				}
+				// The per-search check: every probe of the frontier fails
+				// the streaming W-L1 need, and SearchAll skips the frontier.
+				wl1Rejects++
+				srch.rejected = nil
+				srch.runFrontier(sts, &ws, unchecked, par.NewMinBound())
+				ctr := &Counters{HeapPopped: &obs.Counter{}, Infeasible: &obs.Counter{}}
+				cfg.Counters = ctr
+				got := SearchAll(l, hw, cm, cfg)
+				if got == nil || len(got) != 0 || !reflect.DeepEqual(got, unchecked.opts) {
+					t.Fatalf("%s: W-L1-rejected search returned %#v, the unchecked frontier %#v", ctx, got, unchecked.opts)
+				}
+				if p := ctr.HeapPopped.Value(); p != 0 {
+					t.Fatalf("%s: W-L1-rejected search popped %d nodes", ctx, p)
+				}
+			}
+		}
+	}
+	if wl1Rejects == 0 || cells == 0 {
+		t.Fatalf("vacuous run: %d searches rejected by the streaming W-L1 need, %d frontier pops", wl1Rejects, cells)
 	}
 }
 

@@ -262,6 +262,15 @@ func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 	return out
 }
 
+// base returns the mapping with the subtree's split fields set and every tile
+// field zero.
+func (st subtree) base() mapping.Mapping {
+	return mapping.Mapping{
+		PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
+		ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
+	}
+}
+
 // walk yields every temporal-free probe mapping of the subtree. The tile
 // generators are hoisted to the outermost level they depend on — cot
 // candidates depend only on the region, core tiles only on the planar pair —
@@ -269,10 +278,7 @@ func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 // pruned search and the exhaustive reference enumerate through this one
 // walker, which is what guarantees they see identical candidate sets.
 func (st subtree) walk(l workload.Layer, hw hardware.Config, yield func(probe mapping.Mapping)) {
-	base := mapping.Mapping{
-		PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
-		ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
-	}
+	base := st.base()
 	cots := tileCandidates(st.cop, st.cop)
 	for _, pp := range planarPairs(st.hop, st.wop) {
 		hot, wot := pp[0], pp[1]

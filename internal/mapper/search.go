@@ -48,12 +48,17 @@ type Counters struct {
 	// plus probes scheduled), a direct measure of how much of the space the
 	// search actually visited before the incumbent cut it off.
 	HeapPopped *obs.Counter
+	// Infeasible counts popped cells that then failed mapping.Feasible:
+	// frontier work spent on mappings that fit no buffer. The frontier
+	// checks each need at the level that decides it, so only a core-tile
+	// need (O-L1, A-L1, non-rotating A-L2) can land a cell here.
+	Infeasible *obs.Counter
 }
 
 // tally is the per-worker, allocation-free accumulator behind Counters.
 type tally struct {
 	generated, boundPruned, stagePruned, evaluated int64
-	floors, popped                                 int64
+	floors, popped, infeasible                     int64
 }
 
 func (t *tally) add(o tally) {
@@ -63,6 +68,7 @@ func (t *tally) add(o tally) {
 	t.evaluated += o.evaluated
 	t.floors += o.floors
 	t.popped += o.popped
+	t.infeasible += o.infeasible
 }
 
 func (c *Counters) flush(t tally) {
@@ -75,6 +81,7 @@ func (c *Counters) flush(t tally) {
 	c.Evaluated.Add(t.evaluated)
 	c.FloorsComputed.Add(t.floors)
 	c.HeapPopped.Add(t.popped)
+	c.Infeasible.Add(t.infeasible)
 }
 
 // topK maintains the best k options in ascending (score, mapping.Compare)
@@ -271,6 +278,26 @@ type search struct {
 	// d2dNum/d2dDen is the topology's physical-to-logical D2D traffic scale
 	// (noc.Topology.D2DScale); equal on a healthy ring.
 	d2dNum, d2dDen int64
+	// rejected, when set, observes every popped cell that fails Feasible
+	// (tests use it to see which need failed). Workers call it concurrently.
+	rejected func(mapping.Mapping)
+}
+
+// chipletTiles returns the chiplet-tile candidates the frontier expands for
+// a subtree whose split fields base carries: the tiles the walker yields
+// (COt at least the channel split) whose rotating weight chunk, if any, fits
+// W-L1. Every dropped tile yields only infeasible probes, so the group bound
+// taken over the survivors stays admissible for every feasible member.
+func (s *search) chipletTiles(st subtree, base mapping.Mapping) []int {
+	all := tileCandidates(st.cop, st.cop)
+	cots := all[:0]
+	for _, cot := range all {
+		base.COt = cot
+		if cot >= st.cs.csplit && base.ChipletTileFits(s.l, s.hw) {
+			cots = append(cots, cot)
+		}
+	}
+	return cots
 }
 
 // groupBound prices the best case of every probe a group restricted to the
@@ -350,27 +377,24 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 	cotsPer := make([][]int, len(sts))
 	groups, heap, probes := ws.groups[:0], ws.heap[:0], ws.probes[:0]
 	for si, st := range sts {
-		// Chiplet-tile candidates of the subtree, pre-filtered by the channel
-		// split (the same reject the exhaustive walker applies); the filter
-		// reuses the fresh slice tileCandidates returns.
-		all := tileCandidates(st.cop, st.cop)
-		cots := all[:0]
-		for _, cot := range all {
-			if cot >= st.cs.csplit {
-				cots = append(cots, cot)
-			}
-		}
+		// Each buffer need is checked at the level that decides it (the
+		// level-wise checks of package mapping): the rotating weight chunk
+		// per chiplet tile here, the rotating activation chunk per planar
+		// pair below, so no cell is popped for a need its group fixed.
+		base := st.base()
+		cots := s.chipletTiles(st, base)
 		if len(cots) == 0 {
 			continue
 		}
 		cotsPer[si] = cots
-		bases[si] = mapping.Mapping{
-			PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
-			ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
-		}
+		bases[si] = base
 		for _, pp := range planarPairs(st.hop, st.wop) {
 			hot, wot := pp[0], pp[1]
 			if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
+				continue
+			}
+			base.HOt, base.WOt = hot, wot
+			if !base.PlanarTileFits(l, hw) {
 				continue
 			}
 			g := bfGroup{st: int32(si), hot: hot, wot: wot,
@@ -444,6 +468,10 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			probe.COt, probe.HOt, probe.WOt = cotsPer[g.st][n.cot], g.hot, g.wot
 			probe.HOc, probe.WOc = cp[0], cp[1]
 			if !probe.Feasible(l, hw) {
+				ws.tally.infeasible++
+				if s.rejected != nil {
+					s.rejected(probe)
+				}
 				continue
 			}
 			sh := probe.Shape(l, hw)
@@ -583,6 +611,11 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if len(sts) == 0 {
 		return nil
 	}
+	if !mapping.StreamingWL1Fits(l, hw) {
+		// Every mapping of the layer streams the same weight chunk through
+		// W-L1, so none fits: return the empty top-K a full search finds.
+		return newTopK(cfg.KeepTop, cfg.Objective).opts
+	}
 	workers := resolveWorkers(cfg.Workers, len(sts))
 	states := make([]searchState, workers)
 	tops := make([]*topK, workers)
@@ -664,7 +697,7 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		return best
 	}
 	sts := subtrees(l, hw, cfg)
-	if len(sts) == 0 {
+	if len(sts) == 0 || !mapping.StreamingWL1Fits(l, hw) {
 		return best
 	}
 	workers := resolveWorkers(0, len(sts))

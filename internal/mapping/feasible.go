@@ -90,12 +90,47 @@ func (m Mapping) Needs(l workload.Layer, hw hardware.Config) (n Needs, ok bool) 
 		return n, false
 	}
 	n = Needs{OL1: m.ol1Need(hw), AL1: m.al1Need(l, hw), WL1: m.wl1Need(l, hw), AL2: m.al2Need(l, hw)}
-	if m.Rotate && m.PackageSpatial == SpatialP {
-		// chunk > WL1·share  ⟺  WL1 < ⌈chunk / share⌉ for integer WL1.
-		share := int64(s.WeightShareCores)
-		n.WL1 = max(n.WL1, (m.rotatingChunk(l, hw)+share-1)/share)
+	if m.rotatesWeights() {
+		n.WL1 = max(n.WL1, m.rotatingWL1Need(l, hw))
 	}
 	return n, true
+}
+
+// Level-wise checks. A search fixes a mapping's fields from the outside in:
+// the layer and hardware, then per (package split, chiplet split) subtree the
+// chiplet channel tile COt, then the planar tile (HOt, WOt), and last the
+// core tile (HOc, WOc). Each buffer need of Needs is decided at the outermost
+// of these levels whose fields it reads:
+//
+//	streaming W-L1             (l, hw)                  StreamingWL1Fits
+//	rotating P-type W-L1       split fields, COt        ChipletTileFits
+//	rotating C-type A-L2       split fields, HOt, WOt   PlanarTileFits
+//	O-L1, A-L1, other A-L2     core tile                Feasible
+//
+// The checks compute their needs through the same helpers as Needs, so a
+// check rejects a prefix only when Feasible rejects every completion of it
+// (TestLevelChecksSound). The split fields are PackageSpatial, Rotate and
+// ChipletPattern.
+
+// StreamingWL1Fits reports whether the double-buffered streaming weight
+// chunk, which every mapping of l on hw needs, fits the W-L1 buffer. When it
+// does not, no mapping of the layer is feasible on hw.
+func StreamingWL1Fits(l workload.Layer, hw hardware.Config) bool {
+	return Mapping{}.wl1Need(l, hw) <= int64(hw.WL1Bytes)
+}
+
+// ChipletTileFits reports whether a rotating P-type split's per-hop weight
+// chunk, set by the split fields and COt, fits the merged W-L1 pool. It is
+// true for every other split.
+func (m Mapping) ChipletTileFits(l workload.Layer, hw hardware.Config) bool {
+	return !m.rotatesWeights() || m.rotatingWL1Need(l, hw) <= int64(hw.WL1Bytes)
+}
+
+// PlanarTileFits reports whether a rotating C-type split's A-L2 staging
+// chunk, set by the split fields and (HOt, WOt), fits the A-L2 buffer. It is
+// true for every other split, whose A-L2 need depends on the core tile.
+func (m Mapping) PlanarTileFits(l workload.Layer, hw hardware.Config) bool {
+	return !m.rotatesActivations() || m.al2Need(l, hw) <= int64(hw.AL2Bytes)
 }
 
 // Compare orders two mappings by a fixed lexicographic key over every field:

@@ -144,6 +144,84 @@ func TestFeasibleMatchesValidate(t *testing.T) {
 	}
 }
 
+// TestLevelChecksSound pins the contract the mapper's frontier relies on when
+// it drops a whole prefix: whenever a level-wise check rejects, Feasible
+// rejects every completion of that prefix. A completion keeps the fields the
+// check reads (none for StreamingWL1Fits; the split fields and COt for
+// ChipletTileFits; the split fields, HOt and WOt for PlanarTileFits) and
+// draws every other field at random. The buffers are sized so that each
+// check rejects often, and the test counts the structurally valid
+// completions that only the buffers reject, so it cannot pass vacuously.
+func TestLevelChecksSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	layers := []workload.Layer{
+		{Model: "t", Name: "conv", HO: 56, WO: 56, CO: 64, CI: 64, R: 3, S: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		{Model: "t", Name: "deep", HO: 32, WO: 32, CO: 512, CI: 512, R: 3, S: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		{Model: "t", Name: "wide", HO: 14, WO: 14, CO: 512, CI: 256, R: 1, S: 1, StrideH: 1, StrideW: 1},
+		{Model: "t", Name: "dw", HO: 28, WO: 28, CO: 96, CI: 96, R: 3, S: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 96},
+	}
+	// tight mirrors the smallest Fig 15 memory point on a 4-8-8-8 tuple;
+	// starved makes the streaming W-L1 chunk of every 3×3 layer miss.
+	tight := hardware.CaseStudy()
+	tight.OL1Bytes, tight.AL1Bytes, tight.WL1Bytes = 48*tight.Lanes, 1024, 2048
+	tight.AL2Bytes, tight.OL2Bytes = 32*1024, 16*1024
+	starved := tight
+	starved.WL1Bytes = 1024
+	hws := []hardware.Config{hardware.CaseStudy(), tight, starved}
+
+	type level struct {
+		name string
+		fits func(m Mapping, l workload.Layer, hw hardware.Config) bool
+		// keep copies the fields the check reads from the prefix.
+		keep func(prefix Mapping, c *Mapping)
+	}
+	keepSplit := func(p Mapping, c *Mapping) {
+		c.PackageSpatial, c.Rotate, c.ChipletPattern = p.PackageSpatial, p.Rotate, p.ChipletPattern
+	}
+	levels := []level{
+		{"StreamingWL1Fits",
+			func(_ Mapping, l workload.Layer, hw hardware.Config) bool { return StreamingWL1Fits(l, hw) },
+			func(Mapping, *Mapping) {}},
+		{"ChipletTileFits", Mapping.ChipletTileFits,
+			func(p Mapping, c *Mapping) { keepSplit(p, c); c.COt = p.COt }},
+		{"PlanarTileFits", Mapping.PlanarTileFits,
+			func(p Mapping, c *Mapping) { keepSplit(p, c); c.HOt, c.WOt = p.HOt, p.WOt }},
+	}
+	for _, lv := range levels {
+		rejected, bufferOnly := 0, 0
+		for _, l := range layers {
+			for _, hw := range hws {
+				for i := 0; i < 400; i++ {
+					prefix := randomMapping(rng, l, hw)
+					prefix.Rotate = true
+					if i%2 == 0 {
+						prefix.PackageSpatial = SpatialP
+					}
+					if lv.fits(prefix, l, hw) {
+						continue
+					}
+					rejected++
+					for j := 0; j < 40; j++ {
+						c := randomMapping(rng, l, hw)
+						lv.keep(prefix, &c)
+						if c.Feasible(l, hw) {
+							t.Fatalf("%s rejects %+v but Feasible accepts its completion %+v on %s/%s @ %s",
+								lv.name, prefix, c, l.Model, l.Name, hw)
+						}
+						if _, ok := c.Needs(l, hw); ok {
+							bufferOnly++
+						}
+					}
+				}
+			}
+		}
+		if rejected < 50 || bufferOnly < 200 {
+			t.Errorf("%s: %d rejected prefixes, %d structurally valid completions; draw too narrow",
+				lv.name, rejected, bufferOnly)
+		}
+	}
+}
+
 // TestCompareTotalOrder spot-checks Compare's contract: reflexive zero,
 // antisymmetric, and nonzero for distinct mappings.
 func TestCompareTotalOrder(t *testing.T) {

@@ -277,7 +277,7 @@ func (m Mapping) validateBuffers(l workload.Layer, hw hardware.Config, s Shape) 
 		return fmt.Errorf("mapping: A-L2 needs %d B staging, has %d", stage, hw.AL2Bytes)
 	}
 	// The rotating weight chunk must fit the merged W-L1 pool.
-	if m.Rotate && m.PackageSpatial == SpatialP {
+	if m.rotatesWeights() {
 		if chunk, pool := m.rotatingChunk(l, hw), m.wl1Pool(hw, s); chunk > pool {
 			return fmt.Errorf("mapping: rotating weight chunk %d B exceeds W-L1 pool %d", chunk, pool)
 		}
@@ -309,7 +309,7 @@ func (m Mapping) wl1Need(l workload.Layer, hw hardware.Config) int64 {
 // chiplet-workload input when rotating a C-type package split, the
 // core-workload slice otherwise.
 func (m Mapping) al2Need(l workload.Layer, hw hardware.Config) int64 {
-	if m.Rotate && m.PackageSpatial == SpatialC {
+	if m.rotatesActivations() {
 		return 2 * l.TileInputBytes(m.HOt, m.WOt, ceilDiv(l.CI, hw.Chiplets))
 	}
 	return 2 * l.TileInputBytes(m.HOc, m.WOc, min(l.CIPerGroup(), hw.Vector))
@@ -319,6 +319,22 @@ func (m Mapping) al2Need(l workload.Layer, hw hardware.Config) int64 {
 func (m Mapping) rotatingChunk(l workload.Layer, hw hardware.Config) int64 {
 	return 2 * int64(m.COt) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
 }
+
+// rotatingWL1Need is the smallest W-L1 buffer whose merged pool holds the
+// rotating weight chunk: chunk > WL1·share ⟺ WL1 < ⌈chunk / share⌉ for
+// integer WL1. share is the weight-sharing core count, WeightShareCores.
+func (m Mapping) rotatingWL1Need(l workload.Layer, hw hardware.Config) int64 {
+	share := int64(max(1, m.ChipletPattern.Parts()))
+	return (m.rotatingChunk(l, hw) + share - 1) / share
+}
+
+// rotatesWeights reports whether the ring rotates weight chunks: a rotating
+// P-type split, where every chiplet needs every filter.
+func (m Mapping) rotatesWeights() bool { return m.Rotate && m.PackageSpatial == SpatialP }
+
+// rotatesActivations reports whether the ring rotates activation chunks: a
+// rotating C-type split, where every chiplet needs the whole input plane.
+func (m Mapping) rotatesActivations() bool { return m.Rotate && m.PackageSpatial == SpatialC }
 
 // wl1Pool is the merged W-L1 pool of the weight-sharing core group.
 func (m Mapping) wl1Pool(hw hardware.Config, s Shape) int64 {
