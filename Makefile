@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: build test bench benchall bench-smoke bench-check vet race fuzz chaos crash check equiv lint degradation topo-equiv serve fleet
+.PHONY: build test bench benchall bench-smoke bench-check vet race fuzz chaos crash check equiv lint degradation topo-equiv serve fleet golden
 
 # The benchmark set committed to BENCH_mapper.json (and gated by bench-check).
-BENCH_PATTERN = BenchmarkSearchLayer|BenchmarkEngineEvalModelResNet50|BenchmarkServeReferenceTrace|BenchmarkSweep
+BENCH_PATTERN = BenchmarkSearchLayer|BenchmarkEngineEvalModelResNet50|BenchmarkServeReferenceTrace|BenchmarkSweep|BenchmarkKernel
+
+# Runs per benchmark in bench and bench-check; cmd/benchjson folds them into
+# the per-metric median, so a single slow run moves neither side of the gate.
+BENCH_COUNT = 3
 
 build:
 	$(GO) build ./...
@@ -11,19 +15,20 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs the mapper-search and model-evaluation benchmarks and commits
-# the numbers to BENCH_mapper.json (via cmd/benchjson), including the derived
-# exhaustive-vs-pruned speedup and allocation ratios.
+# bench runs the mapper-search, model-evaluation, sweep and cost-kernel
+# benchmarks and commits the medians to BENCH_mapper.json (via
+# cmd/benchjson), including the derived exhaustive-vs-pruned speedup and
+# allocation ratios.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . \
 		| $(GO) run ./cmd/benchjson -o BENCH_mapper.json
 	@cat BENCH_mapper.json
 
-# bench-check re-measures the committed benchmark set and fails on a >25%
-# ns/op regression of any search/engine/sweep benchmark against the committed
-# BENCH_mapper.json baseline.
+# bench-check re-measures the committed benchmark set and fails when the
+# median ns/op of any search/engine/sweep/kernel benchmark is more than 25%
+# above the committed BENCH_mapper.json baseline.
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . \
 		| $(GO) run ./cmd/benchjson -check BENCH_mapper.json
 
 # benchall is the full suite across every package (the pre-perf-PR `bench`).
@@ -80,6 +85,14 @@ topo-equiv:
 # runs (healthy and degraded), all under the race detector.
 serve:
 	$(GO) test -race -count=1 -run 'TestParseTrace|TestWriteTrace|TestReferenceTrace|TestSimulate|TestConfigValidate|TestSingleRequestLatencyEqualsEvalModel|TestBuildOracle|TestServeReport' ./internal/serve
+
+# golden diffs two printed reproductions byte for byte against committed
+# files: the quick pass of every experiment, and the Fig 15 explore sweep of
+# DarkNet-19. A change that means to move a printed number regenerates the
+# file in the same commit.
+golden:
+	$(GO) run ./cmd/experiments -exp all -quick | diff -u testdata/golden/experiments_quick.txt -
+	$(GO) run ./cmd/nnbaton-dse -mode explore -model darknet19 | diff -u testdata/golden/explore_darknet19.txt -
 
 # -shuffle=on randomizes test and subtest order each run, so inter-test
 # state dependencies surface in CI instead of in production.

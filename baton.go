@@ -270,9 +270,10 @@ func New() *Baton {
 // NewObserved builds the tool with an attached metrics registry and sweep
 // progress sink; either may be nil. The engine's cache counters and phase
 // timings register under reg, and the pre-design sweeps report progress to
-// sink. Library-level phases (c3p.analyze, sim.pipeline, halo.redundancy)
-// report to the process-wide default registry — install reg there with
-// obs.SetDefault to capture them too, as the CLIs' -metrics flag does.
+// sink. Library-level phases (c3p.analyze_validated, sim.pipeline,
+// halo.redundancy) report to the process-wide default registry — install reg
+// there with obs.SetDefault to capture them too, as the CLIs' -metrics flag
+// does.
 func NewObserved(reg *Metrics, sink ProgressSink) *Baton {
 	return NewWithConfig(EngineConfig{Registry: reg, Sink: sink})
 }

@@ -19,8 +19,10 @@ import (
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapper"
 	"nnbaton/internal/mapping"
+	"nnbaton/internal/noc"
 	"nnbaton/internal/obs"
 	"nnbaton/internal/serve"
+	"nnbaton/internal/sim"
 	"nnbaton/internal/simba"
 	"nnbaton/internal/workload"
 )
@@ -251,6 +253,135 @@ func BenchmarkC3PAnalyze(b *testing.B) {
 		if a.Traffic().DRAMActReads == 0 {
 			b.Fatal("no traffic")
 		}
+	}
+}
+
+// kernelFixture is the fixed input of the BenchmarkKernel* set: VGG-16@512
+// conv6 (128×128×256, 3×3) on the 4-8-8-8 case-study hardware, under the
+// mapping the search picks there — (C,H) split with two channel ways,
+// 16×16×64 chiplet tile, 4×4 core tile, rotating. It returns the mapping's
+// warmed analysis (scratch at steady state) and traffic alongside.
+func kernelFixture(b *testing.B) (l workload.Layer, hw hardware.Config, m mapping.Mapping,
+	a *c3p.Analysis, sc *c3p.Scratch, tr c3p.Traffic) {
+	l, err := workload.VGG16(512).Layer("conv6")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hw = hardware.CaseStudy()
+	m = mapping.Mapping{
+		PackageSpatial: mapping.SpatialC, PackageTemporal: mapping.ChannelPriority,
+		ChipletSpatial: mapping.SpatialH, ChipletCSplit: 2, ChipletPattern: mapping.Pattern{Rows: 1, Cols: 4},
+		ChipletTemporal: mapping.ChannelPriority,
+		HOt:             16, WOt: 16, COt: 64, HOc: 4, WOc: 4, Rotate: true,
+	}
+	if err := m.Validate(l, hw); err != nil {
+		b.Fatal(err)
+	}
+	a, sc = &c3p.Analysis{}, &c3p.Scratch{}
+	c3p.AnalyzeInto(a, sc, &l, &hw, &m)
+	return l, hw, m, a, sc, a.Traffic()
+}
+
+// BenchmarkKernelAnalyzeInto measures the C³P analysis the layer search runs
+// per evaluated candidate, on a warmed scratch.
+func BenchmarkKernelAnalyzeInto(b *testing.B) {
+	l, hw, m, a, sc, _ := kernelFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c3p.AnalyzeInto(a, sc, &l, &hw, &m)
+	}
+}
+
+// BenchmarkKernelTrafficAt measures the traffic re-evaluation at substituted
+// buffer sizes that the Fig 15 re-pricing runs per candidate and memory
+// point, through TrafficInto as the sweep calls it.
+func BenchmarkKernelTrafficAt(b *testing.B) {
+	l, hw, _, a, _, tr := kernelFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.TrafficInto(&tr, hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
+	}
+	if tr.MACs != l.MACs() {
+		b.Fatal("bad traffic")
+	}
+}
+
+// BenchmarkKernelTrafficFloor measures the admissible per-probe traffic floor
+// the search computes for every materialized cell.
+func BenchmarkKernelTrafficFloor(b *testing.B) {
+	l, hw, m, a, _, tr := kernelFixture(b)
+	s := a.Shape
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c3p.TrafficFloor(&tr, &l, &hw, &m, &s)
+	}
+	if tr.MACs != l.MACs() {
+		b.Fatal("bad floor")
+	}
+}
+
+// BenchmarkKernelGroupTrafficFloor measures the group-level floor the search
+// prices for every frontier group, subgroup and cell, with the terms of the
+// fixture mapping's own singleton cell.
+func BenchmarkKernelGroupTrafficFloor(b *testing.B) {
+	l, hw, m, a, _, tr := kernelFixture(b)
+	s := a.Shape
+	gt := c3p.GroupFloorTerms{
+		C1Min: int64(s.C1), C12Min: int64(s.C1 * s.C2),
+		OLChanMin: int64(s.C1*s.C2) * int64(min(hw.Lanes, s.COs)),
+		H1W1:      int64(s.H1 * s.W1), H2W2Min: int64(s.H2 * s.W2),
+		PlanarCovMin: int64(s.H2*m.HOc) * int64(s.W2*m.WOc),
+		AL2Intr:      l.TileInputBytes(m.HOt, m.WOt, l.CI) * int64(s.H1*s.W1),
+		AL1IntrMin:   l.TileInputBytes(m.HOc, m.WOc, l.CI) * int64(s.H2*s.W2),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c3p.GroupTrafficFloor(&tr, &l, &hw, m.PackageSpatial, m.Rotate, m.ChipletCSplit, &gt)
+	}
+	if tr.MACs != l.MACs() {
+		b.Fatal("bad floor")
+	}
+}
+
+// BenchmarkKernelFromTraffic measures the energy pricing behind
+// energy.FromTraffic, called as the search and the re-pricing call it.
+func BenchmarkKernelFromTraffic(b *testing.B) {
+	_, hw, _, _, _, tr := kernelFixture(b)
+	var total float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		total += energy.Price(&tr, &hw, benchCM).DRAM
+	}
+	if total <= 0 {
+		b.Fatal("no DRAM energy")
+	}
+}
+
+// BenchmarkKernelSimulateTrafficOn measures the runtime simulator on a
+// prebuilt interconnect, as the search and the re-pricing call it.
+func BenchmarkKernelSimulateTrafficOn(b *testing.B) {
+	_, hw, _, a, _, tr := kernelFixture(b)
+	topo, xbar, err := noc.NewInterconnect(hw, hardware.FaultMask{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cycles int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.SimulateTrafficOn(topo, xbar, a, &tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.Cycles
+	}
+	if cycles <= 0 {
+		b.Fatal("no cycles")
 	}
 }
 

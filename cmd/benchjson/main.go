@@ -3,7 +3,10 @@
 // the `bench` Makefile target, which uses it to produce BENCH_mapper.json.
 //
 // Every metric pair a benchmark line reports is kept (ns/op, B/op, allocs/op,
-// plus any b.ReportMetric extras such as candidates/op or pruned/op). When
+// plus any b.ReportMetric extras such as candidates/op or pruned/op).
+// Repeated lines of one benchmark, as `go test -count=N` prints them, fold
+// into one entry holding the per-metric median, so one slow run on a noisy
+// machine moves neither the committed baseline nor the -check gate. When
 // both a `<base>Exhaustive` and `<base>Pruned` benchmark appear, a derived
 // speedup/alloc-reduction summary is emitted alongside the raw numbers.
 package main
@@ -15,13 +18,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one benchmark's result: a single parsed line, or the
+// per-metric median of its Runs repeated lines.
 type Benchmark struct {
 	Name       string             `json:"name"`
+	Runs       int                `json:"runs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -78,12 +84,14 @@ func main() {
 const regressionTolerance = 1.25
 
 // gated reports whether a benchmark participates in the -check regression
-// gate: the search and engine paths whose performance this repo's perf PRs
-// commit to (pure cost-model microbenchmarks are too noisy to gate on).
+// gate: the search, engine and sweep paths whose performance this repo's perf
+// PRs commit to, and the per-candidate cost kernels under them (the
+// BenchmarkKernel set; other cost-model microbenchmarks are not gated).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkSearch") ||
 		strings.HasPrefix(name, "BenchmarkEngine") ||
-		strings.HasPrefix(name, "BenchmarkSweep")
+		strings.HasPrefix(name, "BenchmarkSweep") ||
+		strings.HasPrefix(name, "BenchmarkKernel")
 }
 
 // checkBaseline compares a freshly parsed run against the committed baseline
@@ -178,7 +186,56 @@ func parse(r io.Reader) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 	return rep, nil
+}
+
+// foldRepeats merges the repeated lines of each benchmark into one entry, in
+// order of first appearance: every metric, and the iteration count, becomes
+// the median over the lines that report it. A benchmark seen once is kept
+// as is, with Runs unset.
+func foldRepeats(lines []Benchmark) []Benchmark {
+	var order []string
+	byName := map[string][]Benchmark{}
+	for _, b := range lines {
+		if _, ok := byName[b.Name]; !ok {
+			order = append(order, b.Name)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, name := range order {
+		runs := byName[name]
+		if len(runs) == 1 {
+			out = append(out, runs[0])
+			continue
+		}
+		values := map[string][]float64{}
+		var iters []float64
+		for _, r := range runs {
+			iters = append(iters, float64(r.Iterations))
+			for k, v := range r.Metrics {
+				values[k] = append(values[k], v)
+			}
+		}
+		b := Benchmark{Name: name, Runs: len(runs), Iterations: int64(median(iters)), Metrics: map[string]float64{}}
+		for k, vs := range values {
+			b.Metrics[k] = median(vs)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count). xs is sorted in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 func parseBench(line string) (Benchmark, error) {

@@ -56,20 +56,20 @@ func (t Traffic) Add(o Traffic) Traffic {
 }
 
 // DRAMBytes returns total off-package traffic.
-func (t Traffic) DRAMBytes() int64 { return t.DRAMActReads + t.DRAMWtReads + t.DRAMOutWrites }
+func (t *Traffic) DRAMBytes() int64 { return t.DRAMActReads + t.DRAMWtReads + t.DRAMOutWrites }
 
 // D2DBytes returns total die-to-die traffic.
-func (t Traffic) D2DBytes() int64 { return t.D2DActs + t.D2DWts + t.D2DPsums + t.D2DOutput }
+func (t *Traffic) D2DBytes() int64 { return t.D2DActs + t.D2DWts + t.D2DPsums + t.D2DOutput }
 
-// ScaleD2D returns the traffic with the die-to-die components scaled by the
-// exact rational num/den (ceil division, so the result stays an upper bound
-// on the true byte count and is exact when den divides the component). Used
-// to convert logical ring traffic to physical link traffic on a degraded
-// fabric where each logical hop averages num/den physical links
-// (noc.Ring.D2DScale); num == den is the identity.
-func (t Traffic) ScaleD2D(num, den int64) Traffic {
+// ScaleD2D scales the die-to-die components in place by the exact rational
+// num/den (ceil division, so the result stays an upper bound on the true
+// byte count and is exact when den divides the component). Used to convert
+// logical ring traffic to physical link traffic on a degraded fabric where
+// each logical hop averages num/den physical links (noc.Ring.D2DScale);
+// num == den is the identity.
+func (t *Traffic) ScaleD2D(num, den int64) {
 	if num == den || den <= 0 {
-		return t
+		return
 	}
 	ceil := func(v int64) int64 {
 		if v <= 0 {
@@ -81,7 +81,6 @@ func (t Traffic) ScaleD2D(num, den int64) Traffic {
 	t.D2DWts = ceil(t.D2DWts)
 	t.D2DPsums = ceil(t.D2DPsums)
 	t.D2DOutput = ceil(t.D2DOutput)
-	return t
 }
 
 // Analysis is the C³P evaluation of one (layer, hardware, mapping) triple.
@@ -113,16 +112,19 @@ func ceilDiv64(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
-// Analyze validates the mapping and builds its C³P analysis. The access
-// counting is timed under the c3p.analyze phase of the default obs registry
-// when metrics are enabled.
+// Analyze validates the mapping and builds its C³P analysis. The call is
+// timed under the c3p.analyze_validated phase of the default obs registry
+// when metrics are enabled. The phase covers only this validating wrapper:
+// the layer search's AnalyzeInto calls go untimed, to keep clock reads out
+// of its loop, and are counted by the search funnel instead (stage-pruned +
+// evaluated candidates).
 func Analyze(l workload.Layer, hw hardware.Config, m mapping.Mapping) (*Analysis, error) {
-	defer obs.Time("c3p.analyze")()
+	defer obs.Time("c3p.analyze_validated")()
 	if err := m.Validate(l, hw); err != nil {
 		return nil, err
 	}
 	a := &Analysis{}
-	AnalyzeInto(a, &Scratch{}, l, hw, m)
+	AnalyzeInto(a, &Scratch{}, &l, &hw, &m)
 	return a, nil
 }
 
@@ -139,10 +141,17 @@ type Scratch struct {
 // using sc's buffers, skipping validation — the mapping must already be known
 // feasible (mapping.Mapping.Feasible). The resulting Analysis aliases sc's
 // threshold buffers and is invalidated by the next AnalyzeInto call with the
-// same Scratch; call Clone to retain it.
-func AnalyzeInto(a *Analysis, sc *Scratch, l workload.Layer, hw hardware.Config, m mapping.Mapping) {
-	s := m.Shape(l, hw)
-	a.Layer, a.HW, a.Map, a.Shape = l, hw, m, s
+// same Scratch; call Clone to retain it. The inputs are read through
+// pointers and copied once, into a; they may alias a's own fields.
+func AnalyzeInto(a *Analysis, sc *Scratch, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping) {
+	// One statement per field: a tuple assignment would stage each copy
+	// through a temporary.
+	a.Layer = *l
+	a.HW = *hw
+	a.Map = *m
+	l, hw, m = &a.Layer, &a.HW, &a.Map
+	a.Shape = m.Shape(l, hw)
+	s := &a.Shape
 
 	// AppendNest lays out the package level in nest[:3] and the chiplet
 	// level in nest[3:], so one append serves all three walks.
@@ -159,7 +168,7 @@ func AnalyzeInto(a *Analysis, sc *Scratch, l workload.Layer, hw hardware.Config,
 		withInnerThresholdInPlace(2*slice, int64(l.R)*int64(l.S))
 	sc.a1ths = a.AL1.Thresholds
 
-	a.fixed = fixedTraffic(l, hw, m, s)
+	fixedTraffic(&a.fixed, l, hw, m, s)
 }
 
 // Clone detaches the analysis from any Scratch buffers it aliases, returning
@@ -172,9 +181,10 @@ func (a *Analysis) Clone() *Analysis {
 	return &out
 }
 
-// fixedTraffic computes the buffer-size-independent traffic of a mapping.
-func fixedTraffic(l workload.Layer, hw hardware.Config, m mapping.Mapping, s mapping.Shape) Traffic {
-	var t Traffic
+// fixedTraffic overwrites t with the buffer-size-independent traffic of a
+// mapping.
+func fixedTraffic(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) {
+	*t = Traffic{}
 	chiplets := int64(hw.Chiplets)
 	cores := int64(hw.Cores)
 	pkgPos := s.PackagePositions()
@@ -205,7 +215,6 @@ func fixedTraffic(l workload.Layer, hw hardware.Config, m mapping.Mapping, s map
 	t.DRAMOutWrites = out
 	t.OL2Writes = out
 	t.OL2Reads = out
-	return t
 }
 
 // Traffic evaluates the total package traffic at the analysis' own hardware
@@ -215,15 +224,25 @@ func (a *Analysis) Traffic() Traffic {
 }
 
 // TrafficAt evaluates the total package traffic with substituted buffer
-// sizes (per-core A-L1 and W-L1, per-chiplet A-L2). This is the fast path of
-// the pre-design memory sweep.
+// sizes (per-core A-L1 and W-L1, per-chiplet A-L2): TrafficInto returning a
+// value.
 func (a *Analysis) TrafficAt(al1, wl1, al2 int) Traffic {
+	var t Traffic
+	a.TrafficInto(&t, al1, wl1, al2)
+	return t
+}
+
+// TrafficInto writes the total package traffic with substituted buffer sizes
+// into t. This is the fast path of the pre-design memory sweep and of the
+// layer search, which keep t in their own scratch.
+func (a *Analysis) TrafficInto(t *Traffic, al1, wl1, al2 int) {
 	pool := int64(wl1) * int64(a.Shape.WeightShareCores)
-	return assembleTraffic(a.fixed, a.HW, a.Map, a.Shape,
+	*t = a.fixed
+	assembleTraffic(t, &a.HW, &a.Map, &a.Shape,
 		a.WL1.Fills(pool), a.AL2.Fills(int64(al2)), a.AL1.Fills(int64(al1)))
 }
 
-// TrafficFloor returns a component-wise lower bound on the traffic of a
+// TrafficFloor writes into t a component-wise lower bound on the traffic of a
 // feasible mapping, valid for any buffer capacities: each fill volume is
 // replaced by its intrinsic (infinite-capacity) value, while the
 // buffer-size-independent terms are exact. Because FillAnalysis.Fills only
@@ -232,25 +251,25 @@ func (a *Analysis) TrafficAt(al1, wl1, al2 int) Traffic {
 // component-wise — the property that makes it an admissible bound for the
 // mapper's branch-and-bound search. The intrinsic volumes are in closed form
 // (walk base × product of relevant loop counts), so no nest walk is needed.
-func TrafficFloor(l workload.Layer, hw hardware.Config, m mapping.Mapping, s mapping.Shape) Traffic {
+func TrafficFloor(t *Traffic, l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) {
 	// Weight walk: base Lanes·CIg·R·S, relevant DimC counts C1·C2.
 	wIntr := int64(hw.Lanes) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) *
 		int64(s.C1) * int64(s.C2)
 	// Activation walks: base input-tile bytes, relevant DimH/DimW counts.
 	aL2Intr := l.TileInputBytes(m.HOt, m.WOt, l.CI) * int64(s.H1) * int64(s.W1)
 	aL1Intr := l.TileInputBytes(m.HOc, m.WOc, l.CI) * int64(s.H2) * int64(s.W2)
-	return assembleTraffic(fixedTraffic(l, hw, m, s), hw, m, s, wIntr, aL2Intr, aL1Intr)
+	fixedTraffic(t, l, hw, m, s)
+	assembleTraffic(t, hw, m, s, wIntr, aL2Intr, aL1Intr)
 }
 
-// assembleTraffic combines the fixed traffic with the three fill volumes —
-// per-weight-group W-L1 fills, per-chiplet A-L2 fills, per-core-workload A-L1
-// fills — through the dataflow's distribution branches. It is the single
-// assembly path behind TrafficAt and TrafficFloor, so the bound and the exact
-// evaluation can never diverge structurally; it is monotone non-decreasing in
-// each fill argument.
-func assembleTraffic(fixed Traffic, hw hardware.Config, m mapping.Mapping, s mapping.Shape,
-	groupFills, chipletActFills, coreActFills int64) Traffic {
-	t := fixed
+// assembleTraffic combines, in place, the fixed traffic already in t with
+// the three fill volumes — per-weight-group W-L1 fills, per-chiplet A-L2
+// fills, per-core-workload A-L1 fills — through the dataflow's distribution
+// branches. It is the single assembly path behind TrafficInto and
+// TrafficFloor, so the bound and the exact evaluation can never diverge
+// structurally; it is monotone non-decreasing in each fill argument.
+func assembleTraffic(t *Traffic, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape,
+	groupFills, chipletActFills, coreActFills int64) {
 	chiplets := int64(hw.Chiplets)
 	pkgPos := s.PackagePositions()
 
@@ -292,7 +311,6 @@ func assembleTraffic(fixed Traffic, hw hardware.Config, m mapping.Mapping, s map
 		// Rotation forwarding also reads the resident chunk out of A-L2.
 		t.AL2Reads += perChipletAct * (chiplets - 1)
 	}
-	return t
 }
 
 // MinPenaltyFreeAL2 returns the A-L2 capacity above which the package-level

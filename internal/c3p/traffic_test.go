@@ -199,3 +199,52 @@ func TestWeightReloadPenaltyShape(t *testing.T) {
 		t.Errorf("expected weight reload penalty: %d <= %d", tr.DRAMWtReads, l.WeightBytes())
 	}
 }
+
+// TestKernelsAllocationFree pins the kernels' pointer calling convention:
+// each run declares its own copies of the inputs and passes their addresses,
+// so a kernel whose parameter escaped would move those copies to the heap
+// and cost an allocation per run. The scratch is warmed first, so its
+// buffers have reached steady state.
+func TestKernelsAllocationFree(t *testing.T) {
+	l0, hw0, m0 := caseMapping()
+	var (
+		a  Analysis
+		sc Scratch
+		tr Traffic
+	)
+	AnalyzeInto(&a, &sc, &l0, &hw0, &m0)
+	s0 := a.Shape
+	gt0 := GroupFloorTerms{
+		C1Min: int64(s0.C1), C12Min: int64(s0.C1 * s0.C2),
+		OLChanMin: int64(s0.C1*s0.C2) * int64(min(hw0.Lanes, s0.COs)),
+		H1W1:      int64(s0.H1 * s0.W1), H2W2Min: int64(s0.H2 * s0.W2),
+		PlanarCovMin: int64(s0.H2*m0.HOc) * int64(s0.W2*m0.WOc),
+		AL2Intr:      l0.TileInputBytes(m0.HOt, m0.WOt, l0.CI) * int64(s0.H1*s0.W1),
+		AL1IntrMin:   l0.TileInputBytes(m0.HOc, m0.WOc, l0.CI) * int64(s0.H2*s0.W2),
+	}
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"AnalyzeInto", func() {
+			l, hw, m := l0, hw0, m0
+			AnalyzeInto(&a, &sc, &l, &hw, &m)
+		}},
+		{"TrafficAt", func() { tr = a.TrafficAt(hw0.AL1Bytes, hw0.WL1Bytes, hw0.AL2Bytes) }},
+		{"TrafficFloor", func() {
+			l, hw, m, s := l0, hw0, m0, s0
+			TrafficFloor(&tr, &l, &hw, &m, &s)
+		}},
+		{"GroupTrafficFloor", func() {
+			l, hw, gt := l0, hw0, gt0
+			GroupTrafficFloor(&tr, &l, &hw, m0.PackageSpatial, m0.Rotate, m0.ChipletCSplit, &gt)
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, k.run); n != 0 {
+			t.Errorf("%s: %.0f allocations per call, want 0", k.name, n)
+		}
+	}
+	if tr.MACs != l0.MACs() {
+		t.Errorf("GroupTrafficFloor MACs = %d, want %d", tr.MACs, l0.MACs())
+	}
+}

@@ -389,7 +389,7 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 	// analysis' hardware, which every anchor shares with comp.
 	r.topo, r.xbar, r.netErr = noc.NewInterconnect(comp, hardware.FaultMask{})
 	for _, sp := range shapes {
-		sp.prepare(comp)
+		sp.prepare(&comp)
 	}
 
 	nO, nA1, nW1, nA2 := len(space.OL1PerLane), len(space.AL1), len(space.WL1), len(space.AL2)
@@ -494,11 +494,11 @@ func distinctShapes(layers []workload.Layer) ([]*shapePool, []int) {
 
 // prepare runs the buffer-independent half of Mapping.Validate once per
 // candidate.
-func (sp *shapePool) prepare(comp hardware.Config) {
+func (sp *shapePool) prepare(comp *hardware.Config) {
 	layerOK := sp.layer.Validate() == nil
 	for i := range sp.cands {
 		c := &sp.cands[i]
-		c.needs, c.usable = c.a.Map.Needs(sp.layer, comp)
+		c.needs, c.usable = c.a.Map.Needs(&sp.layer, comp)
 		c.usable = c.usable && layerOK
 	}
 }
@@ -520,13 +520,13 @@ type repricer struct {
 func (r *repricer) price(pt *Point) bool {
 	hwOK := pt.HW.Validate() == nil
 	for _, sp := range r.shapes {
-		sp.best = r.choose(sp, pt.HW, hwOK)
+		r.choose(sp, &pt.HW, hwOK)
 		if !sp.best.ok {
 			return false
 		}
 	}
 	for _, si := range r.shapeOf {
-		b := r.shapes[si].best
+		b := &r.shapes[si].best
 		pt.Energy = pt.Energy.Add(b.br)
 		pt.Seconds += hardware.Seconds(b.cycles)
 		pt.MappedLayers++
@@ -534,11 +534,11 @@ func (r *repricer) price(pt *Point) bool {
 	return true
 }
 
-// choose selects a shape's candidate at memory point hw: the lowest energy
-// among candidates that fit and simulate, the first in pool order on ties.
-// hwOK is hw.Validate() == nil.
-func (r *repricer) choose(sp *shapePool, hw hardware.Config, hwOK bool) choice {
-	best := choice{}
+// choose selects a shape's candidate at memory point hw into sp.best: the
+// lowest energy among candidates that fit and simulate, the first in pool
+// order on ties. hwOK is hw.Validate() == nil.
+func (r *repricer) choose(sp *shapePool, hw *hardware.Config, hwOK bool) {
+	sp.best = choice{}
 	bestE := -1.0
 	for i := range sp.cands {
 		c := &sp.cands[i]
@@ -546,17 +546,17 @@ func (r *repricer) choose(sp *shapePool, hw hardware.Config, hwOK bool) choice {
 			continue
 		}
 		if c.memo&haveTraffic == 0 {
-			c.traffic = c.a.TrafficAt(hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
+			c.a.TrafficInto(&c.traffic, hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
 			c.memo |= haveTraffic
 		}
-		br := energy.FromTraffic(c.traffic, hw, r.cm)
+		br := energy.Price(&c.traffic, hw, r.cm)
 		if bestE >= 0 && br.Total() >= bestE {
 			continue
 		}
 		if c.memo&haveSim == 0 {
 			c.simErr = r.netErr
 			if r.netErr == nil {
-				res, err := sim.SimulateTrafficOn(r.topo, r.xbar, c.a, c.traffic)
+				res, err := sim.SimulateTrafficOn(r.topo, r.xbar, c.a, &c.traffic)
 				c.cycles, c.simErr = res.Cycles, err
 			}
 			c.memo |= haveSim
@@ -565,7 +565,6 @@ func (r *repricer) choose(sp *shapePool, hw hardware.Config, hwOK bool) choice {
 			continue
 		}
 		bestE = br.Total()
-		best = choice{br: br, cycles: c.cycles, ok: true}
+		sp.best = choice{br: br, cycles: c.cycles, ok: true}
 	}
-	return best
 }

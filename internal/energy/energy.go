@@ -80,12 +80,19 @@ func (b Breakdown) String() string {
 	return sb.String()
 }
 
-// FromTraffic prices a traffic record on a hardware configuration. SRAM
-// accesses cost the fitted per-bit energy of their macro size; the O-L1
-// register file costs one 24-bit read-modify-write per accumulation; Simba's
-// partial-sum spills are priced at the A-L2 macro rate and its NoP psum
-// hops at the D2D rate (already included in D2DBytes).
+// FromTraffic prices a traffic record on a hardware configuration: Price
+// taking its inputs by value.
 func FromTraffic(t c3p.Traffic, hw hardware.Config, cm *hardware.CostModel) Breakdown {
+	return Price(&t, &hw, cm)
+}
+
+// Price prices a traffic record on a hardware configuration. SRAM accesses
+// cost the fitted per-bit energy of their macro size; the O-L1 register file
+// costs one 24-bit read-modify-write per accumulation; Simba's partial-sum
+// spills are priced at the A-L2 macro rate and its NoP psum hops at the D2D
+// rate (already included in D2DBytes). The search and the memory sweep call
+// it per candidate, so it reads both records in place.
+func Price(t *c3p.Traffic, hw *hardware.Config, cm *hardware.CostModel) Breakdown {
 	bits := func(bytes int64) float64 { return float64(bytes) * 8 }
 	ol2Size := hw.OL2Bytes
 	if ol2Size <= 0 {

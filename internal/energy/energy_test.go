@@ -47,6 +47,22 @@ func TestFromTrafficPricing(t *testing.T) {
 	}
 }
 
+// TestFromTrafficAllocationFree pins that pricing reads its inputs in place:
+// FromTraffic hands the addresses of its value parameters to Price, so a
+// Price parameter that escaped would move them to the heap on every call.
+func TestFromTrafficAllocationFree(t *testing.T) {
+	cm := hardware.MustCostModel()
+	hw := hardware.CaseStudy()
+	tr := c3p.Traffic{DRAMActReads: 100, D2DActs: 40, AL1Reads: 80, OL1RMW: 1000, MACs: 10000}
+	var b Breakdown
+	if n := testing.AllocsPerRun(100, func() { b = FromTraffic(tr, hw, cm) }); n != 0 {
+		t.Errorf("FromTraffic: %.0f allocations per call, want 0", n)
+	}
+	if b != Price(&tr, &hw, cm) {
+		t.Errorf("FromTraffic = %+v, Price = %+v", b, Price(&tr, &hw, cm))
+	}
+}
+
 func TestSimbaPsumPricing(t *testing.T) {
 	cm := hardware.MustCostModel()
 	hw := hardware.CaseStudy()

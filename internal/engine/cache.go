@@ -104,8 +104,10 @@ func decodeOptions(raw []byte, l workload.Layer, hw hardware.Config, cfg mapper.
 			return nil, fmt.Errorf("engine: cached mapping %d is infeasible: %w", i, err)
 		}
 		tr := a.Traffic()
-		br := energy.FromTraffic(tr.ScaleD2D(num, den), hw, cm)
-		res, err := sim.SimulateTrafficOn(topo, xbar, a, tr)
+		phys := tr
+		phys.ScaleD2D(num, den)
+		br := energy.Price(&phys, &hw, cm)
+		res, err := sim.SimulateTrafficOn(topo, xbar, a, &tr)
 		if err != nil {
 			return nil, fmt.Errorf("engine: cached mapping %d does not simulate: %w", i, err)
 		}

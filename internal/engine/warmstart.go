@@ -160,8 +160,10 @@ func (e *Evaluator) warmSeed(l workload.Layer, hw hardware.Config, cfg mapper.Co
 				continue
 			}
 			tr := a.Traffic()
-			br := energy.FromTraffic(tr.ScaleD2D(num, den), hw, e.cm)
-			res, err := sim.SimulateTrafficOn(topo, xbar, a, tr)
+			phys := tr
+			phys.ScaleD2D(num, den)
+			br := energy.Price(&phys, &hw, e.cm)
+			res, err := sim.SimulateTrafficOn(topo, xbar, a, &tr)
 			if err != nil {
 				continue
 			}

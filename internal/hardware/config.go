@@ -32,13 +32,13 @@ type Config struct {
 }
 
 // MACsPerCore returns L×P.
-func (c Config) MACsPerCore() int { return c.Lanes * c.Vector }
+func (c *Config) MACsPerCore() int { return c.Lanes * c.Vector }
 
 // MACsPerChiplet returns N_C×L×P.
-func (c Config) MACsPerChiplet() int { return c.Cores * c.MACsPerCore() }
+func (c *Config) MACsPerChiplet() int { return c.Cores * c.MACsPerCore() }
 
 // TotalMACs returns the package-wide MAC count.
-func (c Config) TotalMACs() int { return c.Chiplets * c.MACsPerChiplet() }
+func (c *Config) TotalMACs() int { return c.Chiplets * c.MACsPerChiplet() }
 
 // Validate reports an error for non-positive or inconsistent resources.
 func (c Config) Validate() error {

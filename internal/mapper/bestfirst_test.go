@@ -54,7 +54,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 			// The frontier's tile list: the group bound is taken over the
 			// tiles that survive the rotating-chunk check.
 			base := st.base()
-			cots := srch.chipletTiles(st, base)
+			cots := srch.chipletTiles(&st, base)
 			if len(cots) == 0 {
 				continue
 			}
@@ -64,26 +64,26 @@ func TestGroupBoundAdmissible(t *testing.T) {
 					continue
 				}
 				base.HOt, base.WOt = hot, wot
-				if !base.PlanarTileFits(l, hw) {
+				if !base.PlanarTileFits(&l, &hw) {
 					continue
 				}
 				g := bfGroup{hot: hot, wot: wot,
 					hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
-				g.cps = coreTilePairs(l, hw, g.hs, g.ws)
+				g.cps = coreTilePairs(&l, &hw, g.hs, g.ws)
 				if len(g.cps) == 0 {
 					continue
 				}
-				gb := srch.groupBound(st, cots, g)
+				gb := srch.groupBound(&st, cots, &g, g.cps)
 				for ci, cot := range cots {
-					sub := srch.groupBound(st, cots[ci:ci+1], g)
+					sub := srch.groupBound(&st, cots[ci:ci+1], &g, g.cps)
 					for pi, cp := range g.cps {
 						probe := base
 						probe.COt, probe.HOc, probe.WOc = cot, cp[0], cp[1]
-						if !probe.Feasible(l, hw) {
+						if !probe.Feasible(&l, &hw) {
 							continue
 						}
-						sh := probe.Shape(l, hw)
-						fl := lowerBound(l, hw, cm, probe, sh, cfg.Objective, num, den)
+						sh := probe.Shape(&l, &hw)
+						fl := lowerBound(&l, &hw, cm, &probe, &sh, cfg.Objective, num, den)
 						if gb > fl {
 							t.Fatalf("%s: group bound %.6g > member floor %.6g for %+v",
 								ctx, gb, fl, probe)
@@ -94,9 +94,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 						}
 						// Cell level: both tile axes fixed — the singleton
 						// bound the frontier prices one probe with.
-						gc := g
-						gc.cps = g.cps[pi : pi+1]
-						if cell := srch.groupBound(st, cots[ci:ci+1], gc); cell > fl {
+						if cell := srch.groupBound(&st, cots[ci:ci+1], &g, g.cps[pi:pi+1]); cell > fl {
 							t.Fatalf("%s: cell bound %.6g > member floor %.6g for %+v",
 								ctx, cell, fl, probe)
 						}
@@ -165,14 +163,14 @@ func TestFrontierRejectsAtDecidingLevel(t *testing.T) {
 						mu.Lock()
 						defer mu.Unlock()
 						rejected++
-						if !mapping.StreamingWL1Fits(l, hw) || !m.ChipletTileFits(l, hw) || !m.PlanarTileFits(l, hw) {
+						if !mapping.StreamingWL1Fits(&l, &hw) || !m.ChipletTileFits(&l, &hw) || !m.PlanarTileFits(&l, &hw) {
 							t.Fatalf("%s: popped cell %+v fails a need its group decides", ctx, m)
 						}
 					}}
 				var ws searchState
 				ws.init(hw, cfg.Fault)
 				unchecked := newTopK(cfg.KeepTop, cfg.Objective)
-				if mapping.StreamingWL1Fits(l, hw) {
+				if mapping.StreamingWL1Fits(&l, &hw) {
 					srch.runFrontier(sts, &ws, unchecked, par.NewMinBound())
 					if ws.tally.infeasible != rejected {
 						t.Fatalf("%s: tally counts %d infeasible cells, hook saw %d", ctx, ws.tally.infeasible, rejected)

@@ -100,7 +100,7 @@ func planarPairs(h, w int) [][2]int {
 
 // coreTilePairs generates (HOc, WOc) candidates bounded by the O-L1 psum
 // capacity and the A-L1 streaming constraint.
-func coreTilePairs(l workload.Layer, hw hardware.Config, hs, ws int) [][2]int {
+func coreTilePairs(l *workload.Layer, hw *hardware.Config, hs, ws int) [][2]int {
 	maxElems := hw.OL1Bytes / (3 * hw.Lanes)
 	if maxElems < 1 {
 		maxElems = 1
@@ -264,7 +264,7 @@ func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 
 // base returns the mapping with the subtree's split fields set and every tile
 // field zero.
-func (st subtree) base() mapping.Mapping {
+func (st *subtree) base() mapping.Mapping {
 	return mapping.Mapping{
 		PackageSpatial: st.ps.kind, PackagePattern: st.ps.pattern, Rotate: st.rotate,
 		ChipletSpatial: st.cs.kind, ChipletCSplit: st.cs.csplit, ChipletPattern: st.cs.pattern,
@@ -277,7 +277,7 @@ func (st subtree) base() mapping.Mapping {
 // so the inner loop touches no maps and performs no allocation. Both the
 // pruned search and the exhaustive reference enumerate through this one
 // walker, which is what guarantees they see identical candidate sets.
-func (st subtree) walk(l workload.Layer, hw hardware.Config, yield func(probe mapping.Mapping)) {
+func (st *subtree) walk(l *workload.Layer, hw *hardware.Config, yield func(probe mapping.Mapping)) {
 	base := st.base()
 	cots := tileCandidates(st.cop, st.cop)
 	for _, pp := range planarPairs(st.hop, st.wop) {
@@ -339,8 +339,8 @@ func NewSpaceChecker(l workload.Layer, hw hardware.Config, cfg Config) *SpaceChe
 
 // Contains reports whether the search would enumerate m.
 func (c *SpaceChecker) Contains(m mapping.Mapping) bool {
-	l, hw := c.l, c.hw
-	if !c.ok || m.Validate(l, hw) != nil {
+	l, hw := &c.l, &c.hw
+	if !c.ok || m.Validate(*l, *hw) != nil {
 		return false
 	}
 	for _, st := range c.sts {
@@ -410,7 +410,7 @@ func forEachTemporal(probe mapping.Mapping, sh mapping.Shape, yield func(mapping
 }
 
 // temporalVariants counts the mappings forEachTemporal yields for a shape.
-func temporalVariants(sh mapping.Shape) int64 {
+func temporalVariants(sh *mapping.Shape) int64 {
 	n := int64(len(temporalChoices(sh.C1, sh.H1*sh.W1)))
 	return n * int64(len(temporalChoices(sh.C2, sh.H2*sh.W2)))
 }
@@ -432,16 +432,18 @@ func enumerate(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 			return
 		}
 		tr := a.Traffic()
-		br := energy.FromTraffic(tr.ScaleD2D(num, den), hw, cm)
-		res, err := sim.SimulateTrafficOn(topo, xbar, a, tr)
+		phys := tr
+		phys.ScaleD2D(num, den)
+		br := energy.Price(&phys, &hw, cm)
+		res, err := sim.SimulateTrafficOn(topo, xbar, a, &tr)
 		if err != nil {
 			return
 		}
 		yield(Option{Analysis: a, Energy: br, Cycles: res.Cycles})
 	}
 	for _, st := range subtrees(l, hw, cfg) {
-		st.walk(l, hw, func(probe mapping.Mapping) {
-			forEachTemporal(probe, probe.Shape(l, hw), consider)
+		st.walk(&l, &hw, func(probe mapping.Mapping) {
+			forEachTemporal(probe, probe.Shape(&l, &hw), consider)
 		})
 	}
 }

@@ -47,7 +47,7 @@ func TestPlanarPairsWithinBounds(t *testing.T) {
 func TestCoreTilePairsRespectBuffers(t *testing.T) {
 	l := workload.Layer{HO: 56, WO: 56, CO: 64, CI: 64, R: 3, S: 3, StrideH: 1, StrideW: 1}
 	hw := hardware.CaseStudy()
-	pairs := coreTilePairs(l, hw, 14, 14)
+	pairs := coreTilePairs(&l, &hw, 14, 14)
 	if len(pairs) == 0 {
 		t.Fatal("no core tile candidates")
 	}

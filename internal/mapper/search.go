@@ -100,12 +100,12 @@ func newTopK(k int, obj Objective) *topK {
 }
 
 // pos returns the insertion index of (s, m) in the retained order.
-func (t *topK) pos(s float64, m mapping.Mapping) int {
+func (t *topK) pos(s float64, m *mapping.Mapping) int {
 	return sort.Search(len(t.opts), func(i int) bool {
 		if t.scores[i] != s {
 			return t.scores[i] > s
 		}
-		return mapping.Compare(t.opts[i].Analysis.Map, m) > 0
+		return mapping.Compare(&t.opts[i].Analysis.Map, m) > 0
 	})
 }
 
@@ -120,13 +120,13 @@ func (t *topK) worst() float64 {
 }
 
 // wouldAccept reports whether add would retain the candidate.
-func (t *topK) wouldAccept(s float64, m mapping.Mapping) bool {
+func (t *topK) wouldAccept(s float64, m *mapping.Mapping) bool {
 	return len(t.opts) < t.k || t.pos(s, m) < t.k
 }
 
 // add inserts the candidate, evicting the current worst when full.
 func (t *topK) add(o Option, s float64) {
-	i := t.pos(s, o.Analysis.Map)
+	i := t.pos(s, &o.Analysis.Map)
 	if i >= t.k {
 		return
 	}
@@ -259,10 +259,12 @@ func (ws *searchState) init(hw hardware.Config, mask hardware.FaultMask) {
 // relies on. See DESIGN.md. num/den is the fabric's physical-to-logical D2D
 // scale (noc.Topology.D2DScale: 1 on a healthy ring, where the bound reduces
 // exactly to the pre-topology one; ≥ 1 on detoured or multi-hop fabrics).
-func lowerBound(l workload.Layer, hw hardware.Config, cm *hardware.CostModel,
-	m mapping.Mapping, sh mapping.Shape, obj Objective, num, den int64) float64 {
-	floor := c3p.TrafficFloor(l, hw, m, sh).ScaleD2D(num, den)
-	e := energy.FromTraffic(floor, hw, cm).Total()
+func lowerBound(l *workload.Layer, hw *hardware.Config, cm *hardware.CostModel,
+	m *mapping.Mapping, sh *mapping.Shape, obj Objective, num, den int64) float64 {
+	var floor c3p.Traffic
+	c3p.TrafficFloor(&floor, l, hw, m, sh)
+	floor.ScaleD2D(num, den)
+	e := energy.Price(&floor, hw, cm).Total()
 	if obj == MinEDP {
 		e *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
 	}
@@ -288,12 +290,12 @@ type search struct {
 // (COt at least the channel split) whose rotating weight chunk, if any, fits
 // W-L1. Every dropped tile yields only infeasible probes, so the group bound
 // taken over the survivors stays admissible for every feasible member.
-func (s *search) chipletTiles(st subtree, base mapping.Mapping) []int {
+func (s *search) chipletTiles(st *subtree, base mapping.Mapping) []int {
 	all := tileCandidates(st.cop, st.cop)
 	cots := all[:0]
 	for _, cot := range all {
 		base.COt = cot
-		if cot >= st.cs.csplit && base.ChipletTileFits(s.l, s.hw) {
+		if cot >= st.cs.csplit && base.ChipletTileFits(&s.l, &s.hw) {
 			cots = append(cots, cot)
 		}
 	}
@@ -301,20 +303,20 @@ func (s *search) chipletTiles(st subtree, base mapping.Mapping) []int {
 }
 
 // groupBound prices the best case of every probe a group restricted to the
-// given chiplet-tile candidates can produce: each shape-product term is
-// minimized independently over the candidate lists (the passed tile slice and
-// the group's core-tile pairs) and assembled through c3p.GroupTrafficFloor —
-// the group-level counterpart of lowerBound. The frontier calls it twice per
-// group: once with the full tile list (the cheap coarse bound) and once per
-// single-tile sub-slice when the group expands, which makes the channel terms
-// exact and the subgroup bound correspondingly tighter. Admissible because
-// every term is a true lower bound on its per-member value, the assembly
-// mirrors the exact one branch for branch, and the energy model is linear
-// with non-negative coefficients, so
-// groupBound ≤ lowerBound(probe) ≤ score(probe) for every member probe
-// (pinned by TestGroupBoundAdmissible).
-func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
-	l, hw := s.l, s.hw
+// given chiplet-tile and core-tile candidates can produce: each shape-product
+// term is minimized independently over the two candidate lists (sub-slices
+// of the subtree's tiles and of g.cps) and assembled through
+// c3p.GroupTrafficFloor — the group-level counterpart of lowerBound. The
+// frontier calls it with the full lists (the cheap coarse bound), once per
+// single tile when the group expands, which makes the channel terms exact
+// and the subgroup bound correspondingly tighter, and once per single core
+// pair when a subgroup expands. Admissible because every term is a true
+// lower bound on its per-member value, the assembly mirrors the exact one
+// branch for branch, and the energy model is linear with non-negative
+// coefficients, so groupBound ≤ lowerBound(probe) ≤ score(probe) for every
+// member probe (pinned by TestGroupBoundAdmissible).
+func (s *search) groupBound(st *subtree, cots []int, g *bfGroup, cps [][2]int) float64 {
+	l, hw := &s.l, &s.hw
 	h1w1 := int64(ceilDiv(st.hop, g.hot)) * int64(ceilDiv(st.wop, g.wot))
 	csplit := max(1, st.cs.csplit)
 	const huge = math.MaxInt64
@@ -328,7 +330,7 @@ func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
 		olChanMin = min(olChanMin, c12*int64(min(hw.Lanes, cos)))
 	}
 	var h2w2Min, covMin, al1Min int64 = huge, huge, huge
-	for _, cp := range g.cps {
+	for _, cp := range cps {
 		h2 := int64(ceilDiv(g.hs, cp[0]))
 		w2 := int64(ceilDiv(g.ws, cp[1]))
 		h2w2Min = min(h2w2Min, h2*w2)
@@ -341,11 +343,12 @@ func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
 		AL2Intr:    l.TileInputBytes(g.hot, g.wot, l.CI) * h1w1,
 		AL1IntrMin: al1Min,
 	}
-	tr := c3p.GroupTrafficFloor(l, hw, st.ps.kind, st.rotate, csplit, terms).
-		ScaleD2D(s.d2dNum, s.d2dDen)
-	e := energy.FromTraffic(tr, hw, s.cm).Total()
+	var tr c3p.Traffic
+	c3p.GroupTrafficFloor(&tr, l, hw, st.ps.kind, st.rotate, csplit, &terms)
+	tr.ScaleD2D(s.d2dNum, s.d2dDen)
+	e := energy.Price(&tr, hw, s.cm).Total()
 	if s.cfg.Objective == MinEDP {
-		e *= hardware.Seconds(c3p.GroupCyclesFloor(l, hw, terms))
+		e *= hardware.Seconds(c3p.GroupCyclesFloor(l, hw, &terms))
 	}
 	return e
 }
@@ -372,11 +375,12 @@ func (s *search) groupBound(st subtree, cots []int, g bfGroup) float64 {
 // on visit order, only on the candidate set, which this generator shares with
 // the exhaustive walker.
 func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *par.MinBound) {
-	l, hw, cm, obj := s.l, s.hw, s.cm, s.cfg.Objective
+	l, hw, cm, obj := &s.l, &s.hw, s.cm, s.cfg.Objective
 	bases := make([]mapping.Mapping, len(sts))
 	cotsPer := make([][]int, len(sts))
 	groups, heap, probes := ws.groups[:0], ws.heap[:0], ws.probes[:0]
-	for si, st := range sts {
+	for si := range sts {
+		st := &sts[si]
 		// Each buffer need is checked at the level that decides it (the
 		// level-wise checks of package mapping): the rotating weight chunk
 		// per chiplet tile here, the rotating activation chunk per planar
@@ -404,7 +408,7 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 				continue
 			}
 			groups = append(groups, g)
-			heap = heapPush(heap, bfNode{bound: s.groupBound(st, cots, g), group: int32(len(groups) - 1), cot: -1, cp: -1, probe: -1})
+			heap = heapPush(heap, bfNode{bound: s.groupBound(st, cots, &g, g.cps), group: int32(len(groups) - 1), cot: -1, cp: -1, probe: -1})
 		}
 	}
 
@@ -432,10 +436,10 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			// Refine the group into one subgroup per chiplet tile: the
 			// single-tile bound makes the channel-product terms exact.
 			g := &groups[n.group]
-			st, cots := sts[g.st], cotsPer[g.st]
+			st, cots := &sts[g.st], cotsPer[g.st]
 			for i := range cots {
 				heap = heapPush(heap, bfNode{
-					bound: s.groupBound(st, cots[i:i+1], *g),
+					bound: s.groupBound(st, cots[i:i+1], g, g.cps),
 					group: n.group, cot: int32(i), cp: -1, probe: -1,
 				})
 			}
@@ -448,12 +452,10 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			// through the cheap group assembly, without the feasibility
 			// check and TrafficFloor walk the real floor pays.
 			g := &groups[n.group]
-			st, cots := sts[g.st], cotsPer[g.st]
+			st, cots := &sts[g.st], cotsPer[g.st]
 			for j := range g.cps {
-				gc := *g
-				gc.cps = g.cps[j : j+1]
 				heap = heapPush(heap, bfNode{
-					bound: s.groupBound(st, cots[n.cot:n.cot+1], gc),
+					bound: s.groupBound(st, cots[n.cot:n.cot+1], g, g.cps[j:j+1]),
 					group: n.group, cot: n.cot, cp: int32(j), probe: -1,
 				})
 			}
@@ -475,10 +477,10 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 				continue
 			}
 			sh := probe.Shape(l, hw)
-			nvar := temporalVariants(sh)
+			nvar := temporalVariants(&sh)
 			ws.tally.floors++
 			ws.tally.generated += nvar
-			fl := lowerBound(l, hw, cm, probe, sh, obj, s.d2dNum, s.d2dDen)
+			fl := lowerBound(l, hw, cm, &probe, &sh, obj, s.d2dNum, s.d2dDen)
 			if fl > thresh {
 				ws.tally.boundPruned += nvar
 				continue
@@ -488,31 +490,34 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			continue
 		}
 		// Evaluate the probe's temporal variants through the staged pipeline.
-		probe := probes[n.probe].m
+		probe := &probes[n.probe].m
 		sh := probe.Shape(l, hw)
+		var tr, phys c3p.Traffic
 		for _, pt := range temporalChoices(sh.C1, sh.H1*sh.W1) {
 			for _, ct := range temporalChoices(sh.C2, sh.H2*sh.W2) {
-				m := probe
+				m := *probe
 				m.PackageTemporal, m.ChipletTemporal = pt, ct
-				c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, m)
-				tr := ws.a.Traffic()
+				c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, &m)
+				ws.a.TrafficInto(&tr, hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
 				// Energy prices the physical link bytes (detours included);
 				// the simulator consumes the logical record — the degraded
 				// ring internalizes the hop multipliers on the time side.
-				br := energy.FromTraffic(tr.ScaleD2D(s.d2dNum, s.d2dDen), hw, cm)
+				phys = tr
+				phys.ScaleD2D(s.d2dNum, s.d2dDen)
+				br := energy.Price(&phys, hw, cm)
 				// Stage prune: the exact energy is known before the
 				// simulator runs; for EDP, pair it with the compute-bound
 				// runtime — still a lower bound on the final score.
 				stage := br.Total()
 				if obj == MinEDP {
-					stage *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, m, sh))
+					stage *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, &m, &sh))
 				}
 				thresh = min(dest.worst(), shared.Load())
 				if stage > thresh {
 					ws.tally.stagePruned++
 					continue
 				}
-				res, err := sim.SimulateTrafficOn(ws.topo, ws.xbar, &ws.a, tr)
+				res, err := sim.SimulateTrafficOn(ws.topo, ws.xbar, &ws.a, &tr)
 				if err != nil {
 					ws.tally.stagePruned++
 					continue
@@ -520,7 +525,7 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 				ws.tally.evaluated++
 				o := Option{Analysis: &ws.a, Energy: br, Cycles: res.Cycles}
 				sc := score(o, obj)
-				if dest.wouldAccept(sc, m) {
+				if dest.wouldAccept(sc, &m) {
 					// Detach the analysis from the worker scratch only for
 					// the few candidates that actually enter the top-K.
 					o.Analysis = ws.a.Clone()
@@ -611,7 +616,7 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if len(sts) == 0 {
 		return nil
 	}
-	if !mapping.StreamingWL1Fits(l, hw) {
+	if !mapping.StreamingWL1Fits(&l, &hw) {
 		// Every mapping of the layer streams the same weight chunk through
 		// W-L1, so none fits: return the empty top-K a full search finds.
 		return newTopK(cfg.KeepTop, cfg.Objective).opts
@@ -697,7 +702,7 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		return best
 	}
 	sts := subtrees(l, hw, cfg)
-	if len(sts) == 0 || !mapping.StreamingWL1Fits(l, hw) {
+	if len(sts) == 0 || !mapping.StreamingWL1Fits(&l, &hw) {
 		return best
 	}
 	workers := resolveWorkers(0, len(sts))

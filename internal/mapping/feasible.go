@@ -15,7 +15,7 @@ import (
 // valid (Validate re-checks those first); under that precondition
 // Feasible(l, hw) == (Validate(l, hw) == nil), a lockstep enforced by
 // TestFeasibleMatchesValidate.
-func (m Mapping) Feasible(l workload.Layer, hw hardware.Config) bool {
+func (m *Mapping) Feasible(l *workload.Layer, hw *hardware.Config) bool {
 	n, ok := m.Needs(l, hw)
 	return ok && n.Fits(hw)
 }
@@ -28,7 +28,7 @@ type Needs struct {
 }
 
 // Fits reports whether every buffer of hw meets its need.
-func (n Needs) Fits(hw hardware.Config) bool {
+func (n Needs) Fits(hw *hardware.Config) bool {
 	return n.OL1 <= int64(hw.OL1Bytes) && n.AL1 <= int64(hw.AL1Bytes) &&
 		n.WL1 <= int64(hw.WL1Bytes) && n.AL2 <= int64(hw.AL2Bytes)
 }
@@ -46,7 +46,7 @@ func (n Needs) Fits(hw hardware.Config) bool {
 // that precondition Validate(l, hw) == nil exactly when ok && n.Fits(hw), so
 // a sweep over memory allocations can check the structure once per compute
 // configuration and each memory point with four integer compares.
-func (m Mapping) Needs(l workload.Layer, hw hardware.Config) (n Needs, ok bool) {
+func (m *Mapping) Needs(l *workload.Layer, hw *hardware.Config) (n Needs, ok bool) {
 	switch m.PackageSpatial {
 	case SpatialC:
 		if l.CO < hw.Chiplets {
@@ -115,21 +115,21 @@ func (m Mapping) Needs(l workload.Layer, hw hardware.Config) (n Needs, ok bool) 
 // StreamingWL1Fits reports whether the double-buffered streaming weight
 // chunk, which every mapping of l on hw needs, fits the W-L1 buffer. When it
 // does not, no mapping of the layer is feasible on hw.
-func StreamingWL1Fits(l workload.Layer, hw hardware.Config) bool {
-	return Mapping{}.wl1Need(l, hw) <= int64(hw.WL1Bytes)
+func StreamingWL1Fits(l *workload.Layer, hw *hardware.Config) bool {
+	return (&Mapping{}).wl1Need(l, hw) <= int64(hw.WL1Bytes)
 }
 
 // ChipletTileFits reports whether a rotating P-type split's per-hop weight
 // chunk, set by the split fields and COt, fits the merged W-L1 pool. It is
 // true for every other split.
-func (m Mapping) ChipletTileFits(l workload.Layer, hw hardware.Config) bool {
+func (m *Mapping) ChipletTileFits(l *workload.Layer, hw *hardware.Config) bool {
 	return !m.rotatesWeights() || m.rotatingWL1Need(l, hw) <= int64(hw.WL1Bytes)
 }
 
 // PlanarTileFits reports whether a rotating C-type split's A-L2 staging
 // chunk, set by the split fields and (HOt, WOt), fits the A-L2 buffer. It is
 // true for every other split, whose A-L2 need depends on the core tile.
-func (m Mapping) PlanarTileFits(l workload.Layer, hw hardware.Config) bool {
+func (m *Mapping) PlanarTileFits(l *workload.Layer, hw *hardware.Config) bool {
 	return !m.rotatesActivations() || m.al2Need(l, hw) <= int64(hw.AL2Bytes)
 }
 
@@ -138,7 +138,7 @@ func (m Mapping) PlanarTileFits(l workload.Layer, hw hardware.Config) bool {
 // a strict total order on distinct mappings, which the mapper uses to break
 // exact objective-score ties deterministically — serial, parallel and pruned
 // searches then agree on the top-K set regardless of evaluation order.
-func Compare(a, b Mapping) int {
+func Compare(a, b *Mapping) int {
 	if c := cmp.Compare(a.PackageSpatial, b.PackageSpatial); c != 0 {
 		return c
 	}

@@ -78,7 +78,7 @@ func TestFeasibleMatchesValidate(t *testing.T) {
 			for i := 0; i < 4000; i++ {
 				m := randomMapping(rng, l, hw)
 				err := m.Validate(l, hw)
-				if got := m.Feasible(l, hw); got != (err == nil) {
+				if got := m.Feasible(&l, &hw); got != (err == nil) {
 					t.Fatalf("Feasible=%v but Validate err=%v for %+v on %s/%s @ %s",
 						got, err, m, l.Model, l.Name, hw.Tuple())
 				}
@@ -112,7 +112,7 @@ func TestFeasibleMatchesValidate(t *testing.T) {
 					// Rotating P-type splits carry the ⌈chunk / pool⌉ W-L1 bound.
 					m.PackageSpatial, m.Rotate = SpatialP, true
 				}
-				n, ok := m.Needs(l, comp)
+				n, ok := m.Needs(&l, &comp)
 				for _, ol1 := range ol1PerLane {
 					for _, al1 := range al1s {
 						for _, wl1 := range wl1s {
@@ -121,14 +121,14 @@ func TestFeasibleMatchesValidate(t *testing.T) {
 								hw.OL1Bytes, hw.AL1Bytes, hw.WL1Bytes = ol1*comp.Lanes, al1, wl1
 								hw.AL2Bytes, hw.OL2Bytes = al2, al2/2
 								err := m.Validate(l, hw)
-								if got := ok && n.Fits(hw); got != (err == nil) {
+								if got := ok && n.Fits(&hw); got != (err == nil) {
 									t.Fatalf("Needs ok=%v %+v fits=%v but Validate err=%v for %+v on %s/%s @ %s",
 										ok, n, got, err, m, l.Model, l.Name, hw)
 								}
 								if err == nil {
 									fits++
 								}
-								if ok && m.Rotate && int64(wl1) >= m.wl1Need(l, hw) && int64(wl1) < n.WL1 {
+								if ok && m.Rotate && int64(wl1) >= m.wl1Need(&l, &hw) && int64(wl1) < n.WL1 {
 									rotationBound++
 								}
 							}
@@ -171,7 +171,7 @@ func TestLevelChecksSound(t *testing.T) {
 
 	type level struct {
 		name string
-		fits func(m Mapping, l workload.Layer, hw hardware.Config) bool
+		fits func(m *Mapping, l *workload.Layer, hw *hardware.Config) bool
 		// keep copies the fields the check reads from the prefix.
 		keep func(prefix Mapping, c *Mapping)
 	}
@@ -180,11 +180,11 @@ func TestLevelChecksSound(t *testing.T) {
 	}
 	levels := []level{
 		{"StreamingWL1Fits",
-			func(_ Mapping, l workload.Layer, hw hardware.Config) bool { return StreamingWL1Fits(l, hw) },
+			func(_ *Mapping, l *workload.Layer, hw *hardware.Config) bool { return StreamingWL1Fits(l, hw) },
 			func(Mapping, *Mapping) {}},
-		{"ChipletTileFits", Mapping.ChipletTileFits,
+		{"ChipletTileFits", (*Mapping).ChipletTileFits,
 			func(p Mapping, c *Mapping) { keepSplit(p, c); c.COt = p.COt }},
-		{"PlanarTileFits", Mapping.PlanarTileFits,
+		{"PlanarTileFits", (*Mapping).PlanarTileFits,
 			func(p Mapping, c *Mapping) { keepSplit(p, c); c.HOt, c.WOt = p.HOt, p.WOt }},
 	}
 	for _, lv := range levels {
@@ -197,18 +197,18 @@ func TestLevelChecksSound(t *testing.T) {
 					if i%2 == 0 {
 						prefix.PackageSpatial = SpatialP
 					}
-					if lv.fits(prefix, l, hw) {
+					if lv.fits(&prefix, &l, &hw) {
 						continue
 					}
 					rejected++
 					for j := 0; j < 40; j++ {
 						c := randomMapping(rng, l, hw)
 						lv.keep(prefix, &c)
-						if c.Feasible(l, hw) {
+						if c.Feasible(&l, &hw) {
 							t.Fatalf("%s rejects %+v but Feasible accepts its completion %+v on %s/%s @ %s",
 								lv.name, prefix, c, l.Model, l.Name, hw)
 						}
-						if _, ok := c.Needs(l, hw); ok {
+						if _, ok := c.Needs(&l, &hw); ok {
 							bufferOnly++
 						}
 					}
@@ -234,11 +234,11 @@ func TestCompareTotalOrder(t *testing.T) {
 		ms[i] = randomMapping(rng, l, hw)
 	}
 	for i := range ms {
-		if Compare(ms[i], ms[i]) != 0 {
+		if Compare(&ms[i], &ms[i]) != 0 {
 			t.Fatalf("Compare(m, m) != 0 for %+v", ms[i])
 		}
 		for j := range ms {
-			c, r := Compare(ms[i], ms[j]), Compare(ms[j], ms[i])
+			c, r := Compare(&ms[i], &ms[j]), Compare(&ms[j], &ms[i])
 			if c != -r {
 				t.Fatalf("Compare not antisymmetric: %d vs %d", c, r)
 			}

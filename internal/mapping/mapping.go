@@ -145,15 +145,14 @@ type Shape struct {
 }
 
 // PackagePositions returns the package-temporal step count per chiplet.
-func (s Shape) PackagePositions() int64 { return int64(s.C1) * int64(s.H1) * int64(s.W1) }
+func (s *Shape) PackagePositions() int64 { return int64(s.C1) * int64(s.H1) * int64(s.W1) }
 
 // ChipletPositions returns the chiplet-temporal step count per core.
-func (s Shape) ChipletPositions() int64 { return int64(s.C2) * int64(s.H2) * int64(s.W2) }
+func (s *Shape) ChipletPositions() int64 { return int64(s.C2) * int64(s.H2) * int64(s.W2) }
 
 // Shape derives the per-level extents and trip counts for a layer on the
 // given hardware. It does not validate; call Validate first.
-func (m Mapping) Shape(l workload.Layer, hw hardware.Config) Shape {
-	var s Shape
+func (m *Mapping) Shape(l *workload.Layer, hw *hardware.Config) (s Shape) {
 	// Package spatial split.
 	switch m.PackageSpatial {
 	case SpatialC:
@@ -235,7 +234,7 @@ func (m Mapping) Validate(l workload.Layer, hw hardware.Config) error {
 	default:
 		return fmt.Errorf("mapping: bad chiplet spatial %v", m.ChipletSpatial)
 	}
-	s := m.Shape(l, hw)
+	s := m.Shape(&l, &hw)
 	// Tile bounds.
 	switch {
 	case m.COt <= 0 || m.HOt <= 0 || m.WOt <= 0 || m.HOc <= 0 || m.WOc <= 0:
@@ -253,10 +252,10 @@ func (m Mapping) Validate(l workload.Layer, hw hardware.Config) error {
 	if m.Rotate && hw.Chiplets == 1 {
 		return fmt.Errorf("mapping: rotation requires more than one chiplet")
 	}
-	return m.validateBuffers(l, hw, s)
+	return m.validateBuffers(&l, &hw, &s)
 }
 
-func (m Mapping) validateBuffers(l workload.Layer, hw hardware.Config, s Shape) error {
+func (m *Mapping) validateBuffers(l *workload.Layer, hw *hardware.Config, s *Shape) error {
 	// O-L1 holds the 24-bit partial sums of one HOc×WOc×L core workload.
 	if psum := m.ol1Need(hw); psum > int64(hw.OL1Bytes) {
 		return fmt.Errorf("mapping: O-L1 needs %d B for %dx%dx%d psums, has %d",
@@ -290,17 +289,17 @@ func (m Mapping) validateBuffers(l workload.Layer, hw hardware.Config, s Shape) 
 // never disagree on the accept set.
 
 // ol1Need is the 24-bit partial-sum footprint of one core workload.
-func (m Mapping) ol1Need(hw hardware.Config) int64 {
+func (m *Mapping) ol1Need(hw *hardware.Config) int64 {
 	return int64(m.HOc) * int64(m.WOc) * int64(hw.Lanes) * 3
 }
 
 // al1Need is the double-buffered P-channel input slice of the core tile.
-func (m Mapping) al1Need(l workload.Layer, hw hardware.Config) int64 {
+func (m *Mapping) al1Need(l *workload.Layer, hw *hardware.Config) int64 {
 	return 2 * l.TileInputBytes(m.HOc, m.WOc, min(hw.Vector, l.CIPerGroup()))
 }
 
 // wl1Need is the double-buffered L×P×R×S streaming weight chunk.
-func (m Mapping) wl1Need(l workload.Layer, hw hardware.Config) int64 {
+func (m *Mapping) wl1Need(l *workload.Layer, hw *hardware.Config) int64 {
 	ci := min(hw.Vector, l.CIPerGroup())
 	return 2 * int64(hw.Lanes) * int64(ci) * int64(l.R) * int64(l.S)
 }
@@ -308,7 +307,7 @@ func (m Mapping) wl1Need(l workload.Layer, hw hardware.Config) int64 {
 // al2Need is the double-buffered A-L2 staging chunk: 1/N_P of the
 // chiplet-workload input when rotating a C-type package split, the
 // core-workload slice otherwise.
-func (m Mapping) al2Need(l workload.Layer, hw hardware.Config) int64 {
+func (m *Mapping) al2Need(l *workload.Layer, hw *hardware.Config) int64 {
 	if m.rotatesActivations() {
 		return 2 * l.TileInputBytes(m.HOt, m.WOt, ceilDiv(l.CI, hw.Chiplets))
 	}
@@ -316,27 +315,27 @@ func (m Mapping) al2Need(l workload.Layer, hw hardware.Config) int64 {
 }
 
 // rotatingChunk is the per-hop weight chunk of a rotating P-type split.
-func (m Mapping) rotatingChunk(l workload.Layer, hw hardware.Config) int64 {
+func (m *Mapping) rotatingChunk(l *workload.Layer, hw *hardware.Config) int64 {
 	return 2 * int64(m.COt) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S) / int64(hw.Chiplets)
 }
 
 // rotatingWL1Need is the smallest W-L1 buffer whose merged pool holds the
 // rotating weight chunk: chunk > WL1·share ⟺ WL1 < ⌈chunk / share⌉ for
 // integer WL1. share is the weight-sharing core count, WeightShareCores.
-func (m Mapping) rotatingWL1Need(l workload.Layer, hw hardware.Config) int64 {
+func (m *Mapping) rotatingWL1Need(l *workload.Layer, hw *hardware.Config) int64 {
 	share := int64(max(1, m.ChipletPattern.Parts()))
 	return (m.rotatingChunk(l, hw) + share - 1) / share
 }
 
 // rotatesWeights reports whether the ring rotates weight chunks: a rotating
 // P-type split, where every chiplet needs every filter.
-func (m Mapping) rotatesWeights() bool { return m.Rotate && m.PackageSpatial == SpatialP }
+func (m *Mapping) rotatesWeights() bool { return m.Rotate && m.PackageSpatial == SpatialP }
 
 // rotatesActivations reports whether the ring rotates activation chunks: a
 // rotating C-type split, where every chiplet needs the whole input plane.
-func (m Mapping) rotatesActivations() bool { return m.Rotate && m.PackageSpatial == SpatialC }
+func (m *Mapping) rotatesActivations() bool { return m.Rotate && m.PackageSpatial == SpatialC }
 
 // wl1Pool is the merged W-L1 pool of the weight-sharing core group.
-func (m Mapping) wl1Pool(hw hardware.Config, s Shape) int64 {
+func (m *Mapping) wl1Pool(hw *hardware.Config, s *Shape) int64 {
 	return int64(hw.WL1Bytes) * int64(s.WeightShareCores)
 }

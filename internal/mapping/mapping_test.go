@@ -46,7 +46,7 @@ func TestShapeCType(t *testing.T) {
 	if err := m.Validate(l, hw); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Shape(l, hw)
+	s := m.Shape(&l, &hw)
 	// Package C split: 64 channels over 4 chiplets -> 16 per chiplet.
 	if s.COp != 16 || s.HOp != 56 || s.WOp != 56 {
 		t.Errorf("chiplet region = %dx%dx%d", s.HOp, s.WOp, s.COp)
@@ -83,7 +83,7 @@ func TestShapePType(t *testing.T) {
 	if err := m.Validate(l, hw); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Shape(l, hw)
+	s := m.Shape(&l, &hw)
 	if s.HOp != 28 || s.WOp != 28 || s.COp != 64 {
 		t.Errorf("chiplet region = %dx%dx%d", s.HOp, s.WOp, s.COp)
 	}
@@ -109,7 +109,7 @@ func TestShapeHybrid(t *testing.T) {
 	if err := m.Validate(l, hw); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Shape(l, hw)
+	s := m.Shape(&l, &hw)
 	if s.COs != 8 || s.HOs != 14 || s.WOs != 14 {
 		t.Errorf("core region = %dx%dx%d", s.HOs, s.WOs, s.COs)
 	}
@@ -171,7 +171,7 @@ func TestValidateHybridArity(t *testing.T) {
 func TestNestOrders(t *testing.T) {
 	l, hw := testLayer(), hardware.CaseStudy()
 	m := validMapping() // package chan-prio, chiplet plane-prio
-	s := m.Shape(l, hw)
+	s := m.Shape(&l, &hw)
 	nest := m.Nest(s)
 	if len(nest) != 6 {
 		t.Fatalf("nest has %d loops", len(nest))
@@ -206,7 +206,7 @@ func TestLoopCountsProduct(t *testing.T) {
 	// must cover the whole layer (with ceiling slack).
 	l, hw := testLayer(), hardware.CaseStudy()
 	m := validMapping()
-	s := m.Shape(l, hw)
+	s := m.Shape(&l, &hw)
 	covered := s.PackagePositions() * s.ChipletPositions() *
 		int64(m.HOc) * int64(m.WOc) * int64(hw.Lanes) *
 		int64(hw.Chiplets) * int64(hw.Cores)

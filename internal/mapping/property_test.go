@@ -32,7 +32,7 @@ func TestShapeCoversWorkloadProperty(t *testing.T) {
 		if err := m.Validate(l, hw); err != nil {
 			return true // structurally invalid seeds are skipped
 		}
-		s := m.Shape(l, hw)
+		s := m.Shape(&l, &hw)
 		for _, v := range []int{s.HOp, s.WOp, s.COp, s.C1, s.H1, s.W1, s.HOs, s.WOs, s.COs, s.C2, s.H2, s.W2} {
 			if v <= 0 {
 				return false
@@ -76,7 +76,7 @@ func TestNestInvariants(t *testing.T) {
 		if err := m.Validate(l, hw); err != nil {
 			return true
 		}
-		s := m.Shape(l, hw)
+		s := m.Shape(&l, &hw)
 		nest := m.Nest(s)
 		if len(nest) != 6 {
 			return false

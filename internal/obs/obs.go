@@ -476,7 +476,7 @@ func Default() *Registry { return defaultReg.Load() }
 
 // Time starts a span for the named phase on the default registry:
 //
-//	defer obs.Time("c3p.analyze")()
+//	defer obs.Time("c3p.analyze_validated")()
 //
 // With no default registry installed this is one atomic load, a branch and
 // the shared no-op stop — safe on the hottest paths.

@@ -51,7 +51,7 @@ func SimulateTraffic(a *c3p.Analysis, tr c3p.Traffic) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return SimulateTrafficOn(topo, xbar, a, tr)
+	return SimulateTrafficOn(topo, xbar, a, &tr)
 }
 
 // SimulateTrafficOn is SimulateTraffic with the interconnect models supplied
@@ -60,10 +60,9 @@ func SimulateTraffic(a *c3p.Analysis, tr c3p.Traffic) (Result, error) {
 // crossbar once per search instead of once per candidate keeps the
 // per-candidate path allocation-free. The topology and crossbar must match
 // a.HW.Chiplets; neither is mutated, so one pair may serve concurrent calls.
-func SimulateTrafficOn(topo noc.Topology, xbar *noc.Crossbar, a *c3p.Analysis, tr c3p.Traffic) (Result, error) {
-	hw := a.HW
-	s := a.Shape
-	l := a.Layer
+// The traffic record is read in place.
+func SimulateTrafficOn(topo noc.Topology, xbar *noc.Crossbar, a *c3p.Analysis, tr *c3p.Traffic) (Result, error) {
+	hw, s, l := &a.HW, &a.Shape, &a.Layer
 	positions := s.PackagePositions()
 	if positions == 0 {
 		return Result{}, fmt.Errorf("sim: mapping yields zero workload positions")
@@ -118,7 +117,7 @@ func SimulateTrafficOn(topo noc.Topology, xbar *noc.Crossbar, a *c3p.Analysis, t
 // mapping — the runtime with infinite bandwidth. Used as a sanity reference
 // and by the mapper's fast runtime estimate.
 func ComputeBoundCycles(a *c3p.Analysis) int64 {
-	return ComputeBoundCyclesOf(a.Layer, a.HW, a.Map, a.Shape)
+	return ComputeBoundCyclesOf(&a.Layer, &a.HW, &a.Map, &a.Shape)
 }
 
 // ComputeBoundCyclesOf is ComputeBoundCycles without an Analysis: the compute
@@ -127,7 +126,7 @@ func ComputeBoundCycles(a *c3p.Analysis) int64 {
 // true lower bound on SimulateTraffic's total for the same mapping: the
 // simulated total is loadPerPos + positions×max(compute, load) ≥
 // positions×computePerPos, which is exactly this product.
-func ComputeBoundCyclesOf(l workload.Layer, hw hardware.Config, m mapping.Mapping, s mapping.Shape) int64 {
+func ComputeBoundCyclesOf(l *workload.Layer, hw *hardware.Config, m *mapping.Mapping, s *mapping.Shape) int64 {
 	ciSteps := (int64(l.CIPerGroup()) + int64(hw.Vector) - 1) / int64(hw.Vector)
 	return s.PackagePositions() * s.ChipletPositions() *
 		int64(m.HOc) * int64(m.WOc) * int64(l.R) * int64(l.S) * ciSteps

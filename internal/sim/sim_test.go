@@ -7,6 +7,7 @@ import (
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
+	"nnbaton/internal/noc"
 	"nnbaton/internal/workload"
 )
 
@@ -134,5 +135,28 @@ func TestMoreChipletsFasterCompute(t *testing.T) {
 	}
 	if r4.Cycles >= r1.Cycles {
 		t.Errorf("4 chiplets (%d cycles) slower than 1 (%d cycles)", r4.Cycles, r1.Cycles)
+	}
+}
+
+// TestSimulateTrafficOnAllocationFree pins that the simulator reads the
+// analysis and the traffic record in place: each run passes the address of
+// its own traffic copy, which an escaping parameter would move to the heap.
+func TestSimulateTrafficOnAllocationFree(t *testing.T) {
+	a := analyzed(t, simLayer(), hardware.CaseStudy(), simMapping())
+	topo, xbar, err := noc.NewInterconnect(a.HW, hardware.FaultMask{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr0 := a.Traffic()
+	var res Result
+	n := testing.AllocsPerRun(100, func() {
+		tr := tr0
+		res, err = SimulateTrafficOn(topo, xbar, a, &tr)
+	})
+	if n != 0 {
+		t.Errorf("SimulateTrafficOn: %.0f allocations per call, want 0", n)
+	}
+	if want, _ := Simulate(a); err != nil || res != want {
+		t.Errorf("SimulateTrafficOn = %+v, %v; Simulate = %+v", res, err, want)
 	}
 }

@@ -68,12 +68,13 @@ func TestSimZooRingGenericEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				num, den := closed.D2DScale()
-				tr := a.Traffic().ScaleD2D(num, den)
-				rClosed, err := sim.SimulateTrafficOn(closed, xbar, a, tr)
+				tr := a.Traffic()
+				tr.ScaleD2D(num, den)
+				rClosed, err := sim.SimulateTrafficOn(closed, xbar, a, &tr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rGeneric, err := sim.SimulateTrafficOn(generic, xbar, a, tr)
+				rGeneric, err := sim.SimulateTrafficOn(generic, xbar, a, &tr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -65,13 +65,13 @@ type Layer struct {
 }
 
 // G returns the effective group count (Groups clamped to at least 1).
-func (l Layer) G() int { return max(1, l.Groups) }
+func (l *Layer) G() int { return max(1, l.Groups) }
 
 // CIPerGroup returns the input channels reduced per output channel.
-func (l Layer) CIPerGroup() int { return l.CI / l.G() }
+func (l *Layer) CIPerGroup() int { return l.CI / l.G() }
 
 // COPerGroup returns the output channels produced per group.
-func (l Layer) COPerGroup() int { return l.CO / l.G() }
+func (l *Layer) COPerGroup() int { return l.CO / l.G() }
 
 // Validate reports an error if the layer dimensions are not a well-formed
 // convolution workload.
@@ -110,29 +110,29 @@ func InExtent(out, kernel, stride int) int {
 }
 
 // IH returns the padded input height consumed by the full layer.
-func (l Layer) IH() int { return InExtent(l.HO, l.R, l.StrideH) }
+func (l *Layer) IH() int { return InExtent(l.HO, l.R, l.StrideH) }
 
 // IW returns the padded input width consumed by the full layer.
-func (l Layer) IW() int { return InExtent(l.WO, l.S, l.StrideW) }
+func (l *Layer) IW() int { return InExtent(l.WO, l.S, l.StrideW) }
 
 // MACs returns the total number of multiply-accumulate operations; each
 // output channel reduces over CI/Groups input channels.
-func (l Layer) MACs() int64 {
+func (l *Layer) MACs() int64 {
 	return int64(l.HO) * int64(l.WO) * int64(l.CO) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S)
 }
 
 // InputBytes returns the 8-bit input activation volume (padded extent).
-func (l Layer) InputBytes() int64 {
+func (l *Layer) InputBytes() int64 {
 	return int64(l.IH()) * int64(l.IW()) * int64(l.CI)
 }
 
 // WeightBytes returns the 8-bit weight volume.
-func (l Layer) WeightBytes() int64 {
+func (l *Layer) WeightBytes() int64 {
 	return int64(l.CO) * int64(l.CIPerGroup()) * int64(l.R) * int64(l.S)
 }
 
 // OutputBytes returns the 8-bit (re-quantized) output volume.
-func (l Layer) OutputBytes() int64 {
+func (l *Layer) OutputBytes() int64 {
 	return int64(l.HO) * int64(l.WO) * int64(l.CO)
 }
 
@@ -162,7 +162,7 @@ func (l Layer) String() string {
 
 // TileInputBytes returns the input footprint (bytes) of an output tile of
 // ho×wo positions over ci input channels, including the halo overlap.
-func (l Layer) TileInputBytes(ho, wo, ci int) int64 {
+func (l *Layer) TileInputBytes(ho, wo, ci int) int64 {
 	return int64(InExtent(ho, l.R, l.StrideH)) * int64(InExtent(wo, l.S, l.StrideW)) * int64(ci)
 }
 
