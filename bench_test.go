@@ -6,14 +6,25 @@
 package nnbaton
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"nnbaton/internal/c3p"
+	"nnbaton/internal/ckpt"
 	"nnbaton/internal/dse"
 	"nnbaton/internal/energy"
 	"nnbaton/internal/engine"
+	"nnbaton/internal/fleet"
 	"nnbaton/internal/functional"
 	"nnbaton/internal/halo"
 	"nnbaton/internal/hardware"
@@ -779,5 +790,141 @@ func BenchmarkEngineGranularityWarm(b *testing.B) {
 		if len(res.Points) == 0 {
 			b.Fatal("no points")
 		}
+	}
+}
+
+// BenchmarkCkptMergeFiles merges one DarkNet-19-shaped checkpoint journal —
+// 32 records of about 440 KB each, the Fig 15 explore journal of one study
+// — into the canonical stream a fleet study serves as its result. The
+// journal is synthetic but deterministic, written through Journal.Append.
+func BenchmarkCkptMergeFiles(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "worker.jsonl")
+	j, err := ckpt.OpenWith(path, ckpt.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	type point struct {
+		HW      hardware.Config
+		Energy  map[string]float64
+		Seconds float64
+		AreaMM2 float64
+	}
+	hw := hardware.CaseStudy()
+	for r := 0; r < 32; r++ {
+		pts := make([]point, 1050)
+		for i := range pts {
+			pts[i] = point{HW: hw, Seconds: rng.Float64() / 100, AreaMM2: 1 + rng.Float64()}
+			pts[i].Energy = map[string]float64{"DRAM": rng.Float64() * 1e9, "D2D": rng.Float64() * 1e8,
+				"AL2": rng.Float64() * 1e8, "AL1": rng.Float64() * 1e8, "WL1": rng.Float64() * 1e8,
+				"OL1": rng.Float64() * 1e7, "OL2": rng.Float64() * 1e7, "MAC": rng.Float64() * 1e7}
+		}
+		key := fmt.Sprintf("explore|DarkNet-19@224/19|macs2048|area2|compute-%02d", r)
+		if err := j.Append(key, struct {
+			Points []point `json:"points"`
+		}{pts}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st, err := ckpt.MergeFiles(io.Discard, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Records != 32 {
+			b.Fatalf("merged %d records, want 32", st.Records)
+		}
+	}
+}
+
+// BenchmarkFleetStudyRoundTrip is one fleet study from submit to fetched
+// result: an in-process coordinator on httptest with one worker, a tiny
+// two-layer study whose searches are all persistent-cache hits (one earlier
+// study warmed the cache), so the time is the control plane — queue wait,
+// task hand-off, done report, merge and result fetch.
+func BenchmarkFleetStudyRoundTrip(b *testing.B) {
+	dir := b.TempDir()
+	coord, err := fleet.Open(fleet.Options{DataDir: dir, WorkerTTL: time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	w, err := fleet.NewWorker(fleet.WorkerOptions{Coordinator: srv.URL, Name: "w1", EngineWorkers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-workerDone
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		coord.Drain(dctx) //nolint:errcheck
+	}()
+
+	space := dse.Space{Vector: []int{8}, Lanes: []int{8}, Cores: []int{2, 4}, Chiplets: []int{1, 2},
+		OL1PerLane: []int{96}, AL1: []int{1024, 4096}, WL1: []int{8192}, AL2: []int{32768}}
+	spec, err := json.Marshal(fleet.StudySpec{Model: "tiny", Res: 32, MACs: 256, AreaMM2: 3, Space: &space, Shards: 1,
+		Layers: []workload.Layer{
+			{Model: "tiny", Name: "conv1", HO: 16, WO: 16, CO: 16, CI: 8, R: 3, S: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+			{Model: "tiny", Name: "conv2", HO: 8, WO: 8, CO: 32, CI: 16, R: 3, S: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+		}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	study := func() {
+		resp, err := http.Post(srv.URL+"/v1/studies", "application/json", bytes.NewReader(spec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sub struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			b.Fatalf("submit = %d, %v", resp.StatusCode, err)
+		}
+		for {
+			st, err := coord.Status(sub.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.State == fleet.StateDone {
+				break
+			}
+			if st.State.Terminal() {
+				b.Fatalf("study %s ended %s: %s", sub.ID, st.State, st.Reason)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		resp, err = http.Get(srv.URL + "/v1/studies/" + sub.ID + "/result")
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || n == 0 {
+			b.Fatalf("result = %d, %d bytes, %v", resp.StatusCode, n, err)
+		}
+	}
+	study() // warms the shared result cache
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		study()
 	}
 }

@@ -85,13 +85,16 @@ const regressionTolerance = 1.25
 
 // gated reports whether a benchmark participates in the -check regression
 // gate: the search, engine and sweep paths whose performance this repo's perf
-// PRs commit to, and the per-candidate cost kernels under them (the
-// BenchmarkKernel set; other cost-model microbenchmarks are not gated).
+// PRs commit to, the per-candidate cost kernels under them (the
+// BenchmarkKernel set; other cost-model microbenchmarks are not gated), and
+// the fleet control plane (journal merge, study round trip).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkSearch") ||
 		strings.HasPrefix(name, "BenchmarkEngine") ||
 		strings.HasPrefix(name, "BenchmarkSweep") ||
-		strings.HasPrefix(name, "BenchmarkKernel")
+		strings.HasPrefix(name, "BenchmarkKernel") ||
+		strings.HasPrefix(name, "BenchmarkCkpt") ||
+		strings.HasPrefix(name, "BenchmarkFleet")
 }
 
 // checkBaseline compares a freshly parsed run against the committed baseline

@@ -168,11 +168,16 @@ func (j *Journal) Append(key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: marshal %q: %w", key, err)
 	}
-	line, err := json.Marshal(record{Key: key, Value: raw})
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	line = append(line, '\n')
+	// The line is json.Marshal(record{key, raw}) assembled by hand: raw is
+	// already compact and escaped, so re-marshaling it would only re-scan
+	// the whole value to reproduce the same bytes.
+	kq, _ := json.Marshal(key) // a string always marshals
+	line := make([]byte, 0, len(`{"key":,"value":}`)+len(kq)+len(raw)+1)
+	line = append(line, `{"key":`...)
+	line = append(line, kq...)
+	line = append(line, `,"value":`...)
+	line = append(line, raw...)
+	line = append(line, "}\n"...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -252,11 +257,35 @@ func (j *Journal) Path() string {
 // and without repairing its torn tail — the read-only side of MergeFiles.
 // Later records for a key win, matching the resume loader.
 func Load(path string) (map[string]json.RawMessage, int, error) {
+	entries, torn, err := loadEntries(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	seen := make(map[string]json.RawMessage, len(entries))
+	for k, e := range entries {
+		seen[k] = e.value
+	}
+	return seen, torn, nil
+}
+
+// entry is one loaded journal record: its value exactly as json.Unmarshal
+// into record would yield it, and, when the line is already in Append's
+// canonical layout, the line itself with its newline — the bytes MergeFiles
+// would otherwise rebuild with json.Marshal.
+type entry struct {
+	value json.RawMessage
+	line  []byte
+}
+
+// loadEntries is Load keeping each canonical line. Lines in Append's exact
+// layout are taken on a fast path (canonicalLine); every other line goes
+// through json.Unmarshal, so the accept/reject rules are those of Load.
+func loadEntries(path string) (map[string]entry, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("ckpt: %w", err)
 	}
-	seen := make(map[string]json.RawMessage)
+	seen := make(map[string]entry)
 	torn := 0
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
@@ -264,19 +293,61 @@ func Load(path string) (map[string]json.RawMessage, int, error) {
 			torn++
 			break
 		}
-		line := data[:nl]
+		line := data[:nl+1]
 		data = data[nl+1:]
+		if key, value, ok := canonicalLine(line[:nl]); ok {
+			seen[key] = entry{value: value, line: line}
+			continue
+		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
+		if err := json.Unmarshal(line[:nl], &rec); err != nil || rec.Key == "" {
 			torn++
 			continue
 		}
-		seen[rec.Key] = rec.Value
+		seen[rec.Key] = entry{value: rec.Value}
 	}
 	return seen, torn, nil
+}
+
+// canonicalLine recognizes a line that json.Marshal(record{key, value})
+// reproduces byte for byte: {"key":"<key>","value":<value>} with a
+// non-empty key of printable ASCII needing no escape, and a valid value
+// holding no whitespace, no HTML-escaped byte (<, >, &) and no 0xE2 lead
+// byte (U+2028/U+2029 are escaped too). Such a line decodes to exactly that
+// key and value, so it needs neither decoding nor re-encoding. Any other
+// line reports !ok and takes the json.Unmarshal path.
+func canonicalLine(line []byte) (key string, value []byte, ok bool) {
+	rest, found := bytes.CutPrefix(line, []byte(`{"key":"`))
+	if !found || len(rest) == 0 || rest[len(rest)-1] != '}' {
+		return "", nil, false
+	}
+	rest = rest[:len(rest)-1]
+	q := bytes.IndexByte(rest, '"')
+	if q <= 0 {
+		return "", nil, false
+	}
+	k := rest[:q]
+	for _, b := range k {
+		if b < 0x20 || b >= 0x7f || b == '\\' || b == '<' || b == '>' || b == '&' {
+			return "", nil, false
+		}
+	}
+	value, found = bytes.CutPrefix(rest[q:], []byte(`","value":`))
+	if !found {
+		return "", nil, false
+	}
+	for _, b := range []byte{'<', '>', '&', 0xE2, ' ', '\t', '\r'} {
+		if bytes.IndexByte(value, b) >= 0 {
+			return "", nil, false
+		}
+	}
+	if !json.Valid(value) {
+		return "", nil, false
+	}
+	return string(k), value, true
 }
 
 // MergeStats reports what MergeFiles combined.
@@ -304,38 +375,38 @@ type MergeStats struct {
 // a divergence means a corrupt or foreign journal) or the merge fails.
 func MergeFiles(w io.Writer, paths ...string) (MergeStats, error) {
 	var st MergeStats
-	merged := make(map[string]json.RawMessage)
+	merged := make(map[string]entry)
 	origin := make(map[string]string)
 	var study string
 	var studyFrom string
 	for _, path := range paths {
-		seen, torn, err := Load(path)
+		seen, torn, err := loadEntries(path)
 		if err != nil {
 			return st, err
 		}
 		st.Files++
 		st.Torn += torn
-		if raw, ok := seen[MetaPrefix+"study"]; ok {
+		if e, ok := seen[MetaPrefix+"study"]; ok {
 			if study == "" {
-				study, studyFrom = string(raw), path
-			} else if study != string(raw) {
+				study, studyFrom = string(e.value), path
+			} else if study != string(e.value) {
 				return st, fmt.Errorf("ckpt: merge: %s and %s journal different studies (%s vs %s)",
-					studyFrom, path, study, raw)
+					studyFrom, path, study, e.value)
 			}
 		}
-		for key, raw := range seen {
+		for key, e := range seen {
 			if strings.HasPrefix(key, MetaPrefix) {
 				st.Meta++
 				continue
 			}
 			if prev, ok := merged[key]; ok {
-				if !bytes.Equal(prev, raw) {
+				if !bytes.Equal(prev.value, e.value) {
 					return st, fmt.Errorf("ckpt: merge: %s and %s disagree on %q — corrupt or foreign journal",
 						origin[key], path, key)
 				}
 				continue
 			}
-			merged[key] = raw
+			merged[key] = e
 			origin[key] = path
 		}
 	}
@@ -345,11 +416,15 @@ func MergeFiles(w io.Writer, paths ...string) (MergeStats, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		line, err := json.Marshal(record{Key: k, Value: merged[k]})
-		if err != nil {
-			return st, fmt.Errorf("ckpt: merge: %w", err)
+		line := merged[k].line
+		if line == nil {
+			var err error
+			if line, err = json.Marshal(record{Key: k, Value: merged[k].value}); err != nil {
+				return st, fmt.Errorf("ckpt: merge: %w", err)
+			}
+			line = append(line, '\n')
 		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		if _, err := w.Write(line); err != nil {
 			return st, fmt.Errorf("ckpt: merge: %w", err)
 		}
 		st.Records++

@@ -148,6 +148,9 @@ type Coordinator struct {
 	// coordinator that cannot persist state transitions reports itself
 	// unhealthy instead of limping on with split memory/disk state.
 	journalErr error
+	// wake is closed and replaced (notifyLocked) whenever scheduling or a
+	// worker's assignment can change, waking held task polls and Drain.
+	wake chan struct{}
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -204,6 +207,7 @@ func Open(opts Options) (*Coordinator, error) {
 		studies:     studies,
 		workers:     make(map[string]*workerState),
 		nextSeq:     nextSeq,
+		wake:        make(chan struct{}),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -216,6 +220,13 @@ func Open(opts Options) (*Coordinator, error) {
 }
 
 func (c *Coordinator) now() time.Time { return c.opts.Now() }
+
+// notifyLocked wakes every goroutine waiting on the current wake channel
+// (held task polls, Drain). Callers hold c.mu.
+func (c *Coordinator) notifyLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
 
 // journalState persists one state transition; a failed append latches the
 // coordinator unhealthy and surfaces the error to the caller.
@@ -302,6 +313,7 @@ func (c *Coordinator) Submit(spec StudySpec) (string, error) {
 	c.studies[id] = st
 	c.reg.Counter("fleet.submitted").Inc()
 	c.updateGauges()
+	c.notifyLocked()
 	return id, nil
 }
 
@@ -325,11 +337,12 @@ func (c *Coordinator) studyDir(id string) string {
 // by every worker.
 func (c *Coordinator) CacheDir() string { return filepath.Join(c.opts.DataDir, "cache") }
 
-// transition moves a study to a terminal or queued state, journals it and
-// bumps the matching counter.
+// transition moves a study to a terminal or queued state, journals it,
+// bumps the matching counter and wakes held task polls.
 func (c *Coordinator) transition(st *study, to State, reason string) error {
 	st.state, st.reason = to, reason
 	err := c.journalState(st)
+	c.notifyLocked()
 	switch to {
 	case StateDone:
 		c.reg.Counter("fleet.completed").Inc()
@@ -384,12 +397,21 @@ func (c *Coordinator) RegisterWorker(name string) (WorkerLease, error) {
 	return WorkerLease{
 		TTL:       c.opts.WorkerTTL,
 		Heartbeat: c.opts.WorkerTTL / 3,
-		Poll:      min(c.opts.WorkerTTL/3, 500*time.Millisecond),
+		Poll:      c.pollHold(),
 	}, nil
 }
 
-// WorkerLease is what a registration hands back: the liveness TTL and the
-// cadences the worker should heartbeat and poll at.
+// pollHold is the longest a task poll is held open: a third of the worker
+// TTL (capped at 500ms), so a held poll still renews liveness well inside
+// the TTL.
+func (c *Coordinator) pollHold() time.Duration {
+	return min(c.opts.WorkerTTL/3, 500*time.Millisecond)
+}
+
+// WorkerLease is what a registration hands back: the liveness TTL, the
+// heartbeat cadence, and Poll — the longest the coordinator holds a task
+// poll open before answering "no task" (the worker re-polls at once, and
+// waits Poll between polls only after an error).
 type WorkerLease struct {
 	TTL       time.Duration `json:"ttl"`
 	Heartbeat time.Duration `json:"heartbeat"`
@@ -435,6 +457,38 @@ type Task struct {
 func (c *Coordinator) NextTask(worker string) (task *Task, drain bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.nextTaskLocked(worker)
+}
+
+// WaitTask is NextTask held open: it answers as soon as NextTask has a task,
+// a drain signal or an error, and otherwise at the latest after hold (nil,
+// false, nil) or when ctx ends (ctx's error). A closed coordinator answers
+// ErrClosed at once.
+func (c *Coordinator) WaitTask(ctx context.Context, worker string, hold time.Duration) (task *Task, drain bool, err error) {
+	timer := time.NewTimer(hold)
+	defer timer.Stop()
+	for {
+		// The wake channel is taken under the same lock as the check, so a
+		// notification between the check and the wait cannot be lost.
+		c.mu.Lock()
+		wake := c.wake
+		task, drain, err = c.nextTaskLocked(worker)
+		c.mu.Unlock()
+		if task != nil || drain || err != nil {
+			return task, drain, err
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			return nil, false, nil
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+	}
+}
+
+// nextTaskLocked is NextTask under c.mu.
+func (c *Coordinator) nextTaskLocked(worker string) (task *Task, drain bool, err error) {
 	w, ok := c.workers[worker]
 	if !ok {
 		return nil, false, ErrUnknownWorker
@@ -442,6 +496,9 @@ func (c *Coordinator) NextTask(worker string) (task *Task, drain bool, err error
 	w.lastBeat = c.now()
 	if c.draining {
 		return nil, true, nil
+	}
+	if c.closed {
+		return nil, false, ErrClosed
 	}
 
 	// Promote in admission order, skipping studies still in retry backoff.
@@ -540,6 +597,9 @@ func (c *Coordinator) retryBackoff(n int) time.Duration {
 func (c *Coordinator) ReportDone(worker string, rep Report) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Every report frees a worker (Drain waits on that) and changes study
+	// coverage or state (held task polls re-check).
+	defer c.notifyLocked()
 	if w, ok := c.workers[worker]; ok && w.study == rep.Study {
 		w.study = ""
 	}
@@ -747,6 +807,7 @@ func (c *Coordinator) sweep() {
 		c.reg.Counter("fleet.worker_expired").Inc()
 		c.reg.Event("fleet.worker_expired", fmt.Sprintf("%s (last heartbeat %s ago, on %q)",
 			name, now.Sub(w.lastBeat).Round(time.Millisecond), w.study))
+		c.notifyLocked()
 	}
 	for _, st := range c.studies {
 		if st.state.Terminal() {
@@ -773,10 +834,12 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		return ErrClosed
 	}
 	c.draining = true
+	c.notifyLocked()
 	c.mu.Unlock()
 
 	// Wait for every assigned worker to report its task ended (the drain
-	// flag rides on heartbeats and task polls).
+	// flag rides on heartbeats and task polls). A report or a worker expiry
+	// signals the wake channel.
 	for {
 		c.mu.Lock()
 		busy := 0
@@ -785,6 +848,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 				busy++
 			}
 		}
+		wake := c.wake
 		c.mu.Unlock()
 		if busy == 0 {
 			break
@@ -794,7 +858,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 			// Grace expired: close anyway. Worker journals are crash-safe
 			// (single-write records), so nothing completed is lost.
 			return c.Close()
-		case <-time.After(20 * time.Millisecond):
+		case <-wake:
 		}
 	}
 	return c.Close()
@@ -808,6 +872,7 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.notifyLocked()
 	c.mu.Unlock()
 	close(c.janitorStop)
 	<-c.janitorDone

@@ -12,7 +12,7 @@ package fleet
 //	DELETE /v1/studies/{id}            cancel                200 | 404 | 409
 //	POST   /v1/workers                 register              200 lease
 //	POST   /v1/workers/{name}/heartbeat                      200 {"abandon","drain"} | 404
-//	POST   /v1/workers/{name}/task     acquire work          200 {"task","drain"} | 404
+//	POST   /v1/workers/{name}/task     acquire work (held)   200 {"task","drain"} | 404 | 503
 //	POST   /v1/workers/{name}/done     report a task         200
 //	GET    /healthz                    liveness              200 | 503
 //	GET    /readyz                     readiness             200 | 503
@@ -22,9 +22,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
+	"strconv"
+	"time"
 )
 
 // maxBodyBytes bounds request bodies: study specs are small; a multi-MB
@@ -147,14 +150,21 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	w.WriteHeader(http.StatusOK)
-	w.Write(data) //nolint:errcheck
+	io.Copy(w, f) //nolint:errcheck — client gone is client's problem
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -205,7 +215,16 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleTask(w http.ResponseWriter, r *http.Request) {
-	task, drain, err := c.NextTask(r.PathValue("name"))
+	c.serveTask(w, r, c.pollHold())
+}
+
+// serveTask answers a task poll held up to hold: as soon as a task or a
+// drain signal is available, or with "no task" when the hold runs out.
+func (c *Coordinator) serveTask(w http.ResponseWriter, r *http.Request, hold time.Duration) {
+	// Consuming the (empty) body lets the server watch the connection, so a
+	// worker that goes away mid-hold cancels r.Context() and frees the wait.
+	io.Copy(io.Discard, r.Body) //nolint:errcheck
+	task, drain, err := c.WaitTask(r.Context(), r.PathValue("name"), hold)
 	if err != nil {
 		writeError(w, err)
 		return

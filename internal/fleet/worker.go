@@ -73,14 +73,20 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// post sends a JSON request and decodes the JSON response into out (when
-// non-nil), returning the HTTP status.
-func (w *Worker) post(path string, body, out any) (int, error) {
+// post sends a JSON request under ctx and decodes the JSON response into
+// out (when non-nil), returning the HTTP status. Cancelling ctx abandons the
+// request at once, held task polls included.
+func (w *Worker) post(ctx context.Context, path string, body, out any) (int, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: %w", err)
 	}
-	resp, err := w.client.Post(w.opts.Coordinator+path, "application/json", bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coordinator+path, bytes.NewReader(data))
+	if err != nil {
+		return 0, fmt.Errorf("fleet: %w", err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -106,7 +112,7 @@ func (w *Worker) register(ctx context.Context) error {
 	backoff := 100 * time.Millisecond
 	for {
 		var ws WorkerLease
-		_, err := w.post("/v1/workers", struct {
+		_, err := w.post(ctx, "/v1/workers", struct {
 			Name string `json:"name"`
 		}{w.opts.Name}, &ws)
 		if err == nil {
@@ -122,8 +128,10 @@ func (w *Worker) register(ctx context.Context) error {
 }
 
 // Run is the worker loop: register, then poll for tasks until the context
-// ends or the coordinator drains. Returns nil on a drain (clean fleet
-// shutdown) and the context's error on cancellation.
+// ends or the coordinator drains. Task polls are long polls the coordinator
+// holds until work or a drain arrives, so an empty answer is re-polled at
+// once; only a failed poll waits pollEvery. Returns nil on a drain (clean
+// fleet shutdown) and the context's error on cancellation.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -137,7 +145,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			Task  *Task `json:"task"`
 			Drain bool  `json:"drain"`
 		}
-		status, err := w.post("/v1/workers/"+w.opts.Name+"/task", struct{}{}, &tr)
+		status, err := w.post(ctx, "/v1/workers/"+w.opts.Name+"/task", struct{}{}, &tr)
 		switch {
 		case status == http.StatusNotFound:
 			// Registration expired (a long GC pause, a network partition):
@@ -146,6 +154,8 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 			continue
+		case err != nil && ctx.Err() != nil:
+			return ctx.Err()
 		case err != nil:
 			w.logf("task poll: %v", err)
 			if serr := sleepCtx(ctx, w.pollEvery()); serr != nil {
@@ -156,9 +166,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("coordinator draining; exiting")
 			return nil
 		case tr.Task == nil:
-			if serr := sleepCtx(ctx, w.pollEvery()); serr != nil {
-				return serr
-			}
 			continue
 		}
 		w.runTask(ctx, tr.Task)
@@ -184,7 +191,9 @@ func (w *Worker) heartbeatEvery() time.Duration {
 func (w *Worker) runTask(ctx context.Context, task *Task) {
 	w.logf("task %s: %d shards of %s", task.Study, task.Shards, task.Signature)
 	rep := w.executeTask(ctx, task)
-	if _, err := w.post("/v1/workers/"+w.opts.Name+"/done", rep, nil); err != nil {
+	// The report must still land when ctx is cancelled by a drain or
+	// shutdown — it is what releases the worker from the study.
+	if _, err := w.post(context.WithoutCancel(ctx), "/v1/workers/"+w.opts.Name+"/done", rep, nil); err != nil {
 		// The report is advisory: the durable truth (done markers, journal
 		// records) is already on disk, and a lost report only delays the
 		// coordinator until another worker's report or a retry.
@@ -237,10 +246,12 @@ func (w *Worker) executeTask(ctx context.Context, task *Task) Report {
 				Abandon bool `json:"abandon"`
 				Drain   bool `json:"drain"`
 			}
-			status, err := w.post("/v1/workers/"+w.opts.Name+"/heartbeat", struct {
+			status, err := w.post(taskCtx, "/v1/workers/"+w.opts.Name+"/heartbeat", struct {
 				Study string `json:"study"`
 			}{task.Study}, &hb)
 			switch {
+			case taskCtx.Err() != nil:
+				return
 			case status == http.StatusNotFound:
 				// Expired mid-task: shard leases keep the work safe; rejoin.
 				if w.register(taskCtx) != nil {
