@@ -42,9 +42,10 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson
 
 # equiv pins the branch-and-bound search to the exhaustive reference across
-# the model zoo under the race detector (the perf-PR correctness gate).
+# the model zoo, and across searches that reuse pooled worker scratch, under
+# the race detector (the perf-PR correctness gate).
 equiv:
-	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo' ./internal/mapper
+	$(GO) test -race -count=1 -run 'TestSearchAllMatchesExhaustive|TestSearchAllWorkersInvariant|TestBestPerSpatialCombo|TestSearchAllPooledScratchReuse' ./internal/mapper
 
 vet:
 	$(GO) vet ./...

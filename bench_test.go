@@ -752,6 +752,26 @@ func BenchmarkSweepExploreResNet50Warm(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepExploreVGG512Cold measures the whole Fig 15 sweep where the
+// layer search dominates: dse.Explore of VGG-16@512 over the full Table II
+// space at 2048 MACs, on a fresh 2-worker evaluator per iteration, so every
+// anchor search runs cold. It is the search-bound counterpart of
+// BenchmarkSweepExploreResNet50Warm.
+func BenchmarkSweepExploreVGG512Cold(b *testing.B) {
+	m := workload.VGG16(512)
+	space := dse.TableII()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := dse.Explore(context.Background(), m, space, 2048, 2.0, engine.NewWithWorkers(benchCM, 2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Points) == 0 || len(res.Failed) != 0 {
+			b.Fatalf("%d points, %d failed compute configurations", len(res.Points), len(res.Failed))
+		}
+	}
+}
+
 // BenchmarkEngineGranularityCold runs the reduced Fig 14 sweep on a fresh
 // engine per iteration (the pre-refactor behavior: every sweep pays for its
 // own searches).

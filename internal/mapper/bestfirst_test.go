@@ -54,11 +54,11 @@ func TestGroupBoundAdmissible(t *testing.T) {
 			// The frontier's tile list: the group bound is taken over the
 			// tiles that survive the rotating-chunk check.
 			base := st.base()
-			cots := srch.chipletTiles(&st, base)
+			cots := srch.chipletTiles(nil, &st, base)
 			if len(cots) == 0 {
 				continue
 			}
-			for _, pp := range planarPairs(st.hop, st.wop) {
+			for _, pp := range planarPairs(nil, st.hop, st.wop) {
 				hot, wot := pp[0], pp[1]
 				if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 					continue
@@ -69,7 +69,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 				}
 				g := bfGroup{hot: hot, wot: wot,
 					hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
-				g.cps = coreTilePairs(&l, &hw, g.hs, g.ws)
+				g.cps = coreTilePairs(nil, &l, &hw, g.hs, g.ws)
 				if len(g.cps) == 0 {
 					continue
 				}
@@ -167,11 +167,11 @@ func TestFrontierRejectsAtDecidingLevel(t *testing.T) {
 							t.Fatalf("%s: popped cell %+v fails a need its group decides", ctx, m)
 						}
 					}}
-				var ws searchState
+				ws := new(searchState)
 				ws.init(hw, cfg.Fault)
 				unchecked := newTopK(cfg.KeepTop, cfg.Objective)
 				if mapping.StreamingWL1Fits(&l, &hw) {
-					srch.runFrontier(sts, &ws, unchecked, par.NewMinBound())
+					srch.runFrontier(sts, ws, unchecked, par.NewMinBound())
 					if ws.tally.infeasible != rejected {
 						t.Fatalf("%s: tally counts %d infeasible cells, hook saw %d", ctx, ws.tally.infeasible, rejected)
 					}
@@ -182,7 +182,7 @@ func TestFrontierRejectsAtDecidingLevel(t *testing.T) {
 				// the streaming W-L1 need, and SearchAll skips the frontier.
 				wl1Rejects++
 				srch.rejected = nil
-				srch.runFrontier(sts, &ws, unchecked, par.NewMinBound())
+				srch.runFrontier(sts, ws, unchecked, par.NewMinBound())
 				ctr := &Counters{HeapPopped: &obs.Counter{}, Infeasible: &obs.Counter{}}
 				cfg.Counters = ctr
 				got := SearchAll(l, hw, cm, cfg)

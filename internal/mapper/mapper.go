@@ -52,42 +52,41 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // splitSeries are the tiling factors tried per dimension.
 var splitSeries = []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
-// tileCandidates returns deduplicated candidate tile extents ⌈dim/n⌉ for the
+// The tile generators append their candidates to a caller-owned slice, so
+// the frontier can draw them from per-worker buffers; callers without one
+// pass nil. Each list holds at most 20 items, so a linear scan of the
+// appended range deduplicates them without a map, in first-seen order — the
+// order the walker enumerates and the Fig 15 pool is built in.
+
+// tileCandidates appends deduplicated candidate tile extents ⌈dim/n⌉ for the
 // split series, largest first.
-func tileCandidates(dim, limit int) []int {
-	seen := make(map[int]bool)
-	var out []int
+func tileCandidates(dst []int, dim, limit int) []int {
+	start := len(dst)
 	for _, n := range splitSeries {
 		if n > dim {
 			break
 		}
 		t := ceilDiv(dim, n)
-		if t > limit || seen[t] {
+		if t > limit || containsInt(dst[start:], t) {
 			continue
 		}
-		seen[t] = true
-		out = append(out, t)
+		dst = append(dst, t)
 	}
-	if len(out) == 0 && dim >= 1 {
-		out = append(out, min(dim, max(1, limit)))
+	if len(dst) == start && dim >= 1 {
+		dst = append(dst, min(dim, max(1, limit)))
 	}
-	return out
+	return dst
 }
 
-// planarPairs generates (HOt, WOt) candidates for a region: a square-biased
+// planarPairs appends (HOt, WOt) candidates for a region: a square-biased
 // series plus row- and column-stripe variants (the pattern ratios of §IV-C).
-func planarPairs(h, w int) [][2]int {
-	seen := make(map[[2]int]bool)
-	var out [][2]int
+func planarPairs(dst [][2]int, h, w int) [][2]int {
+	start := len(dst)
 	add := func(th, tw int) {
-		if th < 1 || tw < 1 || th > h || tw > w {
+		if th < 1 || tw < 1 || th > h || tw > w || containsPair(dst[start:], th, tw) {
 			return
 		}
-		p := [2]int{th, tw}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
+		dst = append(dst, [2]int{th, tw})
 	}
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		add(ceilDiv(h, n), ceilDiv(w, n)) // square-biased
@@ -95,35 +94,27 @@ func planarPairs(h, w int) [][2]int {
 		add(h, ceilDiv(w, n))             // column stripes
 		add(ceilDiv(h, n*n), w)           // fine row stripes
 	}
-	return out
+	return dst
 }
 
-// coreTilePairs generates (HOc, WOc) candidates bounded by the O-L1 psum
+// coreTilePairs appends (HOc, WOc) candidates bounded by the O-L1 psum
 // capacity and the A-L1 streaming constraint.
-func coreTilePairs(l *workload.Layer, hw *hardware.Config, hs, ws int) [][2]int {
+func coreTilePairs(dst [][2]int, l *workload.Layer, hw *hardware.Config, hs, ws int) [][2]int {
 	maxElems := hw.OL1Bytes / (3 * hw.Lanes)
 	if maxElems < 1 {
 		maxElems = 1
 	}
 	ci := min(hw.Vector, l.CI)
-	fits := func(th, tw int) bool {
-		if th*tw > maxElems {
-			return false
-		}
-		return 2*l.TileInputBytes(th, tw, ci) <= int64(hw.AL1Bytes)
-	}
-	seen := make(map[[2]int]bool)
-	var out [][2]int
+	start := len(dst)
 	add := func(th, tw int) {
 		th, tw = min(th, hs), min(tw, ws)
-		if th < 1 || tw < 1 || !fits(th, tw) {
+		if th < 1 || tw < 1 || th*tw > maxElems || containsPair(dst[start:], th, tw) {
 			return
 		}
-		p := [2]int{th, tw}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+		if 2*l.TileInputBytes(th, tw, ci) > int64(hw.AL1Bytes) {
+			return
 		}
+		dst = append(dst, [2]int{th, tw})
 	}
 	// Largest feasible square, then smaller squares and stripes.
 	for s := 8; s >= 1; s-- {
@@ -133,7 +124,7 @@ func coreTilePairs(l *workload.Layer, hw *hardware.Config, hs, ws int) [][2]int 
 	add(1, min(maxElems, ws))
 	add(2, maxElems/2)
 	add(1, 4)
-	return out
+	return dst
 }
 
 // chipletSplits enumerates the chiplet-level spatial alternatives for a
@@ -239,9 +230,9 @@ type subtree struct {
 // exhaustive loop applies). Its order is the canonical enumeration order.
 func subtrees(l workload.Layer, hw hardware.Config, cfg Config) []subtree {
 	rotate := hw.Chiplets > 1 && !cfg.DisableRotation
-	css := chipletSplits(hw)
-	var out []subtree
-	for _, ps := range packageSplits(hw) {
+	pss, css := packageSplits(hw), chipletSplits(hw)
+	out := make([]subtree, 0, len(pss)*len(css))
+	for _, ps := range pss {
 		hop, wop, cop := l.HO, l.WO, l.CO
 		if ps.kind == mapping.SpatialC {
 			if l.CO < hw.Chiplets {
@@ -279,14 +270,14 @@ func (st *subtree) base() mapping.Mapping {
 // walker, which is what guarantees they see identical candidate sets.
 func (st *subtree) walk(l *workload.Layer, hw *hardware.Config, yield func(probe mapping.Mapping)) {
 	base := st.base()
-	cots := tileCandidates(st.cop, st.cop)
-	for _, pp := range planarPairs(st.hop, st.wop) {
+	cots := tileCandidates(nil, st.cop, st.cop)
+	for _, pp := range planarPairs(nil, st.hop, st.wop) {
 		hot, wot := pp[0], pp[1]
 		if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 			continue
 		}
 		hs, ws := ceilDiv(hot, st.cs.pattern.Rows), ceilDiv(wot, st.cs.pattern.Cols)
-		cps := coreTilePairs(l, hw, hs, ws)
+		cps := coreTilePairs(nil, l, hw, hs, ws)
 		for _, cot := range cots {
 			if cot < st.cs.csplit {
 				continue
@@ -349,17 +340,17 @@ func (c *SpaceChecker) Contains(m mapping.Mapping) bool {
 			st.cs.pattern != m.ChipletPattern || st.rotate != m.Rotate {
 			continue
 		}
-		if m.COt < st.cs.csplit || !containsInt(tileCandidates(st.cop, st.cop), m.COt) {
+		if m.COt < st.cs.csplit || !containsInt(tileCandidates(nil, st.cop, st.cop), m.COt) {
 			return false
 		}
 		if st.cs.pattern.Rows > m.HOt || st.cs.pattern.Cols > m.WOt {
 			return false
 		}
-		if !containsPair(planarPairs(st.hop, st.wop), m.HOt, m.WOt) {
+		if !containsPair(planarPairs(nil, st.hop, st.wop), m.HOt, m.WOt) {
 			return false
 		}
 		hs, ws := ceilDiv(m.HOt, st.cs.pattern.Rows), ceilDiv(m.WOt, st.cs.pattern.Cols)
-		if !containsPair(coreTilePairs(l, hw, hs, ws), m.HOc, m.WOc) {
+		if !containsPair(coreTilePairs(nil, l, hw, hs, ws), m.HOc, m.WOc) {
 			return false
 		}
 		sh := m.Shape(l, hw)

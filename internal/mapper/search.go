@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/energy"
@@ -140,11 +141,20 @@ func (t *topK) add(o Option, s float64) {
 	t.scores[i] = s
 }
 
+// bfSubtree is the frontier's view of one subtree: the split fields every
+// probe of the subtree shares, and the chiplet tiles that survived the
+// rotating-chunk check (a range of the worker's tile buffer).
+type bfSubtree struct {
+	base mapping.Mapping
+	cots []int
+}
+
 // bfGroup is one unexpanded candidate group of the best-first frontier: every
 // probe of a subtree sharing one planar pair (HOt, WOt). st indexes the
 // frontier's subtree list; the per-core region (hs, ws) and the core-tile
 // candidates are computed once, used first by the group bound and again —
-// without recomputation — when the group expands.
+// without recomputation — when the group expands. cps is the group's own
+// range of the worker's core-pair buffer.
 type bfGroup struct {
 	st       int32
 	hot, wot int
@@ -152,24 +162,18 @@ type bfGroup struct {
 	cps      [][2]int
 }
 
-// bfProbe is a materialized probe parked off-heap: the frontier node only
-// carries its index, keeping heap sift swaps to a few words instead of a full
-// Mapping copy (the sift copies dominated the profile when nodes embedded the
-// probe). nvar caches the temporal-variant count so the termination drain can
-// account bound-pruned candidates without recomputing shapes.
-type bfProbe struct {
-	m    mapping.Mapping
-	nvar int64
-}
-
-// bfNode is one frontier entry at one of four refinement levels: a candidate
-// group awaiting expansion into subgroups (group >= 0, cot < 0), a subgroup —
-// the group under one fixed chiplet tile — awaiting per-core-tile refinement
-// (group >= 0, cot >= 0 indexing the subtree's tile list, cp < 0), a cell —
-// one (chiplet tile, core tile) choice, i.e. a single not-yet-materialized
-// probe — awaiting its exact floor (cp >= 0 indexing the group's core pairs),
-// or a floored probe awaiting evaluation (probe >= 0 indexing the worker's
-// parked probes, group < 0). bound is admissible at every level — it
+// bfNode is one frontier entry at one of four refinement levels, all of which
+// carry the group they refine: a candidate group awaiting expansion into
+// subgroups (cot < 0), a subgroup — the group under one fixed chiplet tile —
+// awaiting per-core-tile refinement (cot >= 0 indexing the subtree's tile
+// list, cp < 0), a cell — one (chiplet tile, core tile) choice, i.e. a single
+// not-yet-materialized probe — awaiting its exact floor (cp >= 0 indexing the
+// group's core pairs, nvar == 0), or a floored probe awaiting evaluation
+// (nvar > 0, its temporal-variant count). A floored probe keeps its cell's
+// (group, cot, cp) and is rebuilt from the subtree's base and the two tiles
+// when it pops, so the frontier parks no Mapping anywhere and a heap sift
+// swap moves 24 bytes; nvar lets the termination drain account bound-pruned
+// candidates without recomputing shapes. bound is admissible at every level — it
 // lower-bounds every probe the node can produce — so the heap pops in
 // ascending floor order and the first pop above the incumbent threshold
 // proves everything still queued can only be worse. The middle levels exist
@@ -179,10 +183,10 @@ type bfProbe struct {
 // feasibility + TrafficFloor pipeline for them.
 type bfNode struct {
 	bound float64
-	probe int32
 	group int32
 	cot   int32
 	cp    int32
+	nvar  int32
 }
 
 // heapPush and heapPop are a minimal slice min-heap on bound, kept free of
@@ -228,9 +232,10 @@ func heapPop(h []bfNode) (bfNode, []bfNode) {
 }
 
 // searchState is one worker's private scratch: the C³P analysis and its
-// buffers, the interconnect models, the best-first frontier and the funnel
-// tally. Reusing it across every candidate a worker evaluates is what takes
-// the steady-state search to near-zero allocations per candidate.
+// buffers, the interconnect models, the best-first frontier with its tile
+// buffers, and the funnel tally. Workers take it from statePool and return
+// it after the search, so the frontier's slices keep their capacity across
+// searches: a warm search allocates only its result, not its bookkeeping.
 type searchState struct {
 	sc     c3p.Scratch
 	a      c3p.Analysis
@@ -238,15 +243,53 @@ type searchState struct {
 	xbar   *noc.Crossbar
 	tally  tally
 	heap   []bfNode
+	subs   []bfSubtree
 	groups []bfGroup
-	probes []bfProbe
+	cots   []int    // chiplet tiles of every subtree, sliced per subtree
+	pairs  [][2]int // planar pairs of the subtree being seeded
+	cps    [][2]int // core pairs of every group, sliced per group
 }
 
-// init builds the interconnect models; SearchAll has already rejected
-// geometries they cannot represent. The fault mask reroutes the fabric
-// around dead positions (the zero mask yields the healthy topology).
+// statePool recycles worker scratch across searches. A search may take its
+// states from any earlier search — another layer, hardware point, fault mask
+// or objective — so init rebuilds everything that depends on them and the
+// frontier truncates its buffers before use.
+var statePool = sync.Pool{New: func() any { return new(searchState) }}
+
+// init builds the interconnect models and clears the tally; SearchAll has
+// already rejected geometries the models cannot represent. The fault mask
+// reroutes the fabric around dead positions (the zero mask yields the
+// healthy topology).
 func (ws *searchState) init(hw hardware.Config, mask hardware.FaultMask) {
 	ws.topo, ws.xbar, _ = noc.NewInterconnect(hw, mask)
+	ws.tally = tally{}
+}
+
+// runWorkers runs body once per worker on pooled scratch initialized for hw
+// under mask and returns the workers' summed funnel tally. body receives the
+// worker's state, the worker index and the shard index (one shard per
+// worker). The states go back to the pool only after a clean run: a panic
+// may have left a state mid-search.
+func runWorkers(workers int, hw hardware.Config, mask hardware.FaultMask,
+	body func(ws *searchState, w, i int)) (tally, error) {
+	states := make([]*searchState, workers)
+	for i := range states {
+		states[i] = statePool.Get().(*searchState)
+		states[i].init(hw, mask)
+	}
+	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
+		body(states[w], w, i)
+		return nil
+	})
+	var t tally
+	if err != nil {
+		return t, err
+	}
+	for _, ws := range states {
+		t.add(ws.tally)
+		statePool.Put(ws)
+	}
+	return t, nil
 }
 
 // lowerBound prices a probe's best case for the active objective: the C³P
@@ -285,21 +328,24 @@ type search struct {
 	rejected func(mapping.Mapping)
 }
 
-// chipletTiles returns the chiplet-tile candidates the frontier expands for
-// a subtree whose split fields base carries: the tiles the walker yields
-// (COt at least the channel split) whose rotating weight chunk, if any, fits
-// W-L1. Every dropped tile yields only infeasible probes, so the group bound
-// taken over the survivors stays admissible for every feasible member.
-func (s *search) chipletTiles(st *subtree, base mapping.Mapping) []int {
-	all := tileCandidates(st.cop, st.cop)
-	cots := all[:0]
-	for _, cot := range all {
+// chipletTiles appends to dst the chiplet-tile candidates the frontier
+// expands for a subtree whose split fields base carries: the tiles the
+// walker yields (COt at least the channel split) whose rotating weight
+// chunk, if any, fits W-L1. Every dropped tile yields only infeasible
+// probes, so the group bound taken over the survivors stays admissible for
+// every feasible member.
+func (s *search) chipletTiles(dst []int, st *subtree, base mapping.Mapping) []int {
+	start := len(dst)
+	dst = tileCandidates(dst, st.cop, st.cop)
+	n := start
+	for _, cot := range dst[start:] {
 		base.COt = cot
 		if cot >= st.cs.csplit && base.ChipletTileFits(&s.l, &s.hw) {
-			cots = append(cots, cot)
+			dst[n] = cot
+			n++
 		}
 	}
-	return cots
+	return dst[:n]
 }
 
 // groupBound prices the best case of every probe a group restricted to the
@@ -357,9 +403,10 @@ func (s *search) groupBound(st *subtree, cots []int, g *bfGroup, cps [][2]int) f
 // frontier. The frontier starts with one node per candidate group (subtree ×
 // planar pair), bounded by the cheap coarse group floor; popping a group
 // refines it into one subgroup per chiplet tile (tighter bounds, channel
-// terms exact); popping a subgroup materializes its probes — exact per-probe
-// floors, one per feasibility-checked probe — and popping a probe runs the
-// staged pipeline (C³P traffic/energy, then the simulator) over its temporal
+// terms exact); popping a subgroup refines it into one cell per core tile;
+// popping a cell materializes its probe — one exact floor per
+// feasibility-checked probe — and popping a floored probe runs the staged
+// pipeline (C³P traffic/energy, then the simulator) over its temporal
 // variants, exactly as the enumerate-then-filter loop did. Because every
 // node's bound is admissible and the heap pops in ascending bound order, the
 // first pop that strictly exceeds the incumbent threshold min(dest.worst(),
@@ -376,9 +423,8 @@ func (s *search) groupBound(st *subtree, cots []int, g *bfGroup, cps [][2]int) f
 // the exhaustive walker.
 func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *par.MinBound) {
 	l, hw, cm, obj := &s.l, &s.hw, s.cm, s.cfg.Objective
-	bases := make([]mapping.Mapping, len(sts))
-	cotsPer := make([][]int, len(sts))
-	groups, heap, probes := ws.groups[:0], ws.heap[:0], ws.probes[:0]
+	subs, groups, heap := ws.subs[:0], ws.groups[:0], ws.heap[:0]
+	cots, cps := ws.cots[:0], ws.cps[:0]
 	for si := range sts {
 		st := &sts[si]
 		// Each buffer need is checked at the level that decides it (the
@@ -386,13 +432,17 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 		// per chiplet tile here, the rotating activation chunk per planar
 		// pair below, so no cell is popped for a need its group fixed.
 		base := st.base()
-		cots := s.chipletTiles(st, base)
-		if len(cots) == 0 {
+		c0 := len(cots)
+		cots = s.chipletTiles(cots, st, base)
+		// Full slice expressions keep each subtree's and group's range
+		// from growing into its neighbour's.
+		sub := bfSubtree{base: base, cots: cots[c0:len(cots):len(cots)]}
+		subs = append(subs, sub)
+		if len(sub.cots) == 0 {
 			continue
 		}
-		cotsPer[si] = cots
-		bases[si] = base
-		for _, pp := range planarPairs(st.hop, st.wop) {
+		ws.pairs = planarPairs(ws.pairs[:0], st.hop, st.wop)
+		for _, pp := range ws.pairs {
 			hot, wot := pp[0], pp[1]
 			if st.cs.pattern.Rows > hot || st.cs.pattern.Cols > wot {
 				continue
@@ -403,12 +453,14 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			}
 			g := bfGroup{st: int32(si), hot: hot, wot: wot,
 				hs: ceilDiv(hot, st.cs.pattern.Rows), ws: ceilDiv(wot, st.cs.pattern.Cols)}
-			g.cps = coreTilePairs(l, hw, g.hs, g.ws)
-			if len(g.cps) == 0 {
+			p0 := len(cps)
+			cps = coreTilePairs(cps, l, hw, g.hs, g.ws)
+			if len(cps) == p0 {
 				continue
 			}
+			g.cps = cps[p0:len(cps):len(cps)]
 			groups = append(groups, g)
-			heap = heapPush(heap, bfNode{bound: s.groupBound(st, cots, &g, g.cps), group: int32(len(groups) - 1), cot: -1, cp: -1, probe: -1})
+			heap = heapPush(heap, bfNode{bound: s.groupBound(st, sub.cots, &g, g.cps), group: int32(len(groups) - 1), cot: -1, cp: -1})
 		}
 	}
 
@@ -420,55 +472,47 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 		if n.bound > thresh {
 			// The frontier's minimum exceeds the incumbent threshold, so
 			// every remaining candidate bounds at least as high. Probes
-			// already materialized resolve as bound-pruned; unrefined groups
-			// and subgroups never enter the funnel at all.
-			if n.probe >= 0 {
-				ws.tally.boundPruned += probes[n.probe].nvar
-			}
+			// already floored resolve as bound-pruned; unrefined groups,
+			// subgroups and cells (nvar 0) never enter the funnel at all.
+			ws.tally.boundPruned += int64(n.nvar)
 			for _, r := range heap {
-				if r.probe >= 0 {
-					ws.tally.boundPruned += probes[r.probe].nvar
-				}
+				ws.tally.boundPruned += int64(r.nvar)
 			}
 			break
 		}
-		if n.group >= 0 && n.cot < 0 {
+		g := &groups[n.group]
+		st, sub := &sts[g.st], &subs[g.st]
+		if n.cot < 0 {
 			// Refine the group into one subgroup per chiplet tile: the
 			// single-tile bound makes the channel-product terms exact.
-			g := &groups[n.group]
-			st, cots := &sts[g.st], cotsPer[g.st]
-			for i := range cots {
+			for i := range sub.cots {
 				heap = heapPush(heap, bfNode{
-					bound: s.groupBound(st, cots[i:i+1], g, g.cps),
-					group: n.group, cot: int32(i), cp: -1, probe: -1,
+					bound: s.groupBound(st, sub.cots[i:i+1], g, g.cps),
+					group: n.group, cot: int32(i), cp: -1,
 				})
 			}
 			continue
 		}
-		if n.group >= 0 && n.cp < 0 {
+		if n.cp < 0 {
 			// Refine the subgroup into one cell per core tile: with both
 			// tile axes fixed the singleton-list bound has every term exact,
 			// so a cell's bound is essentially its member's floor — computed
 			// through the cheap group assembly, without the feasibility
 			// check and TrafficFloor walk the real floor pays.
-			g := &groups[n.group]
-			st, cots := &sts[g.st], cotsPer[g.st]
 			for j := range g.cps {
 				heap = heapPush(heap, bfNode{
-					bound: s.groupBound(st, cots[n.cot:n.cot+1], g, g.cps[j:j+1]),
-					group: n.group, cot: n.cot, cp: int32(j), probe: -1,
+					bound: s.groupBound(st, sub.cots[n.cot:n.cot+1], g, g.cps[j:j+1]),
+					group: n.group, cot: n.cot, cp: int32(j),
 				})
 			}
 			continue
 		}
-		if n.group >= 0 {
+		probe := sub.base
+		probe.COt, probe.HOt, probe.WOt = sub.cots[n.cot], g.hot, g.wot
+		probe.HOc, probe.WOc = g.cps[n.cp][0], g.cps[n.cp][1]
+		if n.nvar == 0 {
 			// Materialize the cell: floor its probe exactly once (the floor
 			// is temporal-invariant and covers every variant).
-			g := &groups[n.group]
-			cp := g.cps[n.cp]
-			probe := bases[g.st]
-			probe.COt, probe.HOt, probe.WOt = cotsPer[g.st][n.cot], g.hot, g.wot
-			probe.HOc, probe.WOc = cp[0], cp[1]
 			if !probe.Feasible(l, hw) {
 				ws.tally.infeasible++
 				if s.rejected != nil {
@@ -485,17 +529,16 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 				ws.tally.boundPruned += nvar
 				continue
 			}
-			probes = append(probes, bfProbe{m: probe, nvar: nvar})
-			heap = heapPush(heap, bfNode{bound: fl, probe: int32(len(probes) - 1), group: -1, cot: -1, cp: -1})
+			n.bound, n.nvar = fl, int32(nvar)
+			heap = heapPush(heap, n)
 			continue
 		}
 		// Evaluate the probe's temporal variants through the staged pipeline.
-		probe := &probes[n.probe].m
 		sh := probe.Shape(l, hw)
 		var tr, phys c3p.Traffic
 		for _, pt := range temporalChoices(sh.C1, sh.H1*sh.W1) {
 			for _, ct := range temporalChoices(sh.C2, sh.H2*sh.W2) {
-				m := *probe
+				m := probe
 				m.PackageTemporal, m.ChipletTemporal = pt, ct
 				c3p.AnalyzeInto(&ws.a, &ws.sc, l, hw, &m)
 				ws.a.TrafficInto(&tr, hw.AL1Bytes, hw.WL1Bytes, hw.AL2Bytes)
@@ -537,7 +580,8 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 			}
 		}
 	}
-	ws.groups, ws.heap, ws.probes = groups[:0], heap[:0], probes[:0]
+	ws.subs, ws.groups, ws.heap = subs[:0], groups[:0], heap[:0]
+	ws.cots, ws.cps = cots[:0], cps[:0]
 }
 
 // strided returns every workers-th subtree starting at w — the fixed shard a
@@ -622,10 +666,8 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 		return newTopK(cfg.KeepTop, cfg.Objective).opts
 	}
 	workers := resolveWorkers(cfg.Workers, len(sts))
-	states := make([]searchState, workers)
 	tops := make([]*topK, workers)
-	for i := range states {
-		states[i].init(hw, cfg.Fault)
+	for i := range tops {
 		tops[i] = newTopK(cfg.KeepTop, cfg.Objective)
 	}
 	num, den := topo.D2DScale()
@@ -635,17 +677,12 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	// subtrees: the best-first order then holds across subtree boundaries,
 	// so a worker's weak subtrees die as unexpanded group nodes instead of
 	// each warming up its own frontier.
-	err = par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
-		srch.runFrontier(strided(sts, i, workers), &states[w], tops[w], shared)
-		return nil
+	t, err := runWorkers(workers, hw, cfg.Fault, func(ws *searchState, w, i int) {
+		srch.runFrontier(strided(sts, i, workers), ws, tops[w], shared)
 	})
 	if err != nil {
 		rethrowPanics(err)
 		return nil
-	}
-	var t tally
-	for i := range states {
-		t.add(states[i].tally)
 	}
 	cfg.Counters.flush(t)
 
@@ -706,10 +743,8 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		return best
 	}
 	workers := resolveWorkers(0, len(sts))
-	states := make([]searchState, workers)
 	tops := make([][numCombos]*topK, workers)
-	for i := range states {
-		states[i].init(hw, cfg.Fault)
+	for i := range tops {
 		for c := range tops[i] {
 			tops[i][c] = newTopK(1, MinEnergy)
 		}
@@ -726,7 +761,7 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 	// Each combo keeps its own incumbent and destination, so a worker runs
 	// one frontier per combo over its strided share: within a combo the
 	// frontier spans subtree boundaries, across combos nothing is shared.
-	err = par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
+	_, err = runWorkers(workers, hw, cfg.Fault, func(ws *searchState, w, i int) {
 		var byCombo [numCombos][]subtree
 		for _, st := range strided(sts, i, workers) {
 			c := comboIndex(st.ps.kind, st.cs.kind)
@@ -734,10 +769,9 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 		}
 		for c, group := range byCombo {
 			if len(group) > 0 {
-				srch.runFrontier(group, &states[w], tops[w][c], bounds[c])
+				srch.runFrontier(group, ws, tops[w][c], bounds[c])
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		rethrowPanics(err)
