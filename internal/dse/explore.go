@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -217,25 +218,23 @@ func exploreComputes(ctx context.Context, model workload.Model, space Space, tot
 	res := ExploreResult{Model: model.Name}
 	jrn := eng.Config().Journal
 	var mu sync.Mutex
+	// Each compute configuration's points land at its index and are joined
+	// once at the end, already in canonical order within each configuration.
+	pointsOf := make([][]Point, len(computes))
 
 	// Progress is tracked per compute configuration (the unit of anchor
 	// harvesting); the memory cross-product within each is pure re-pricing.
 	track := obs.NewTracker(eng.ProgressSink(), label, len(computes))
 	track.SetNote(eng.SearchNote)
-	// Serpentine neighbor order keeps consecutive compute configurations
-	// adjacent, so the engine's warm-start hints stay hot point-to-point;
-	// the canonical re-sort below makes output order-independent, and shard
-	// boundaries stay hint-adjacent through the persistent cache.
-	order := engine.NeighborOrder(computes)
-	err := engine.ParallelFor(ctx, len(computes), eng.Workers(), func(oi int) error {
-		comp := computes[order[oi]]
+	err := engine.ParallelFor(ctx, len(computes), eng.Workers(), func(ci int) error {
+		comp := computes[ci]
 		key := exploreKey(model, space, totalMACs, areaLimitMM2, comp)
 		if raw, ok := jrn.Lookup(key); ok {
 			var rec exploreRecord
 			if err := json.Unmarshal(raw, &rec); err == nil {
+				pointsOf[ci] = rec.Points
 				mu.Lock()
 				res.Swept += rec.Swept
-				res.Points = append(res.Points, rec.Points...)
 				if rec.Err != "" {
 					res.Failed = append(res.Failed, PointFailure{HW: comp, Err: rec.Err})
 				}
@@ -263,9 +262,9 @@ func exploreComputes(ctx context.Context, model workload.Model, space Space, tot
 		} else if len(points) == 0 {
 			rec.Err = fmt.Sprintf("dse: no valid memory point for %s", comp.Tuple())
 		}
+		pointsOf[ci] = points
 		mu.Lock()
 		res.Swept += swept
-		res.Points = append(res.Points, points...)
 		if rec.Err != "" {
 			res.Failed = append(res.Failed, PointFailure{HW: comp, Err: rec.Err})
 		}
@@ -284,8 +283,10 @@ func exploreComputes(ctx context.Context, model workload.Model, space Space, tot
 		return ExploreResult{}, err
 	}
 
-	// Parallel completion interleaves the per-compute appends; restore the
-	// canonical order so output (and a resumed run) is deterministic.
+	// Join the points in compute order and restore the canonical order of
+	// both lists, so output (and a resumed run) is deterministic: failures
+	// arrive in completion order.
+	res.Points = slices.Concat(pointsOf...)
 	sort.SliceStable(res.Points, func(i, j int) bool { return lessHW(res.Points[i].HW, res.Points[j].HW) })
 	sort.SliceStable(res.Failed, func(i, j int) bool { return lessHW(res.Failed[i].HW, res.Failed[j].HW) })
 
@@ -428,7 +429,8 @@ func exploreCompute(ctx context.Context, model workload.Model, space Space, comp
 			}
 		}
 	}
-	var points []Point
+	// Compact in place: the write index never passes the read index.
+	points := slots[:0]
 	for k, ok := range valid {
 		if ok {
 			points = append(points, slots[k])

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -173,6 +175,42 @@ func TestEvalSweepRecordsPointError(t *testing.T) {
 	}
 	if len(pts) != 1 || pts[0].Err == nil {
 		t.Fatalf("sweep point did not record the failure: %+v", pts)
+	}
+}
+
+// TestEvalSweepWorkerCountByteIdentical sweeps a small neighbourhood of the
+// case study on one worker and on four: the points run in a different
+// interleaving, and the searches share their incumbents differently, but the
+// results must match byte for byte. The funnel tallies the sweep leaves behind
+// surface through Stats.String for the CLI -stats flag.
+func TestEvalSweepWorkerCountByteIdentical(t *testing.T) {
+	base := hardware.CaseStudy()
+	var hws []hardware.Config
+	for _, cores := range []int{base.Cores / 2, base.Cores, base.Cores * 2} {
+		for _, al1 := range []int{base.AL1Bytes, base.AL1Bytes * 2} {
+			hw := base
+			hw.Cores, hw.AL1Bytes = cores, al1
+			hws = append(hws, hw)
+		}
+	}
+	models := []workload.Model{tinyModel()}
+	var fps [][]byte
+	for _, workers := range []int{1, 4} {
+		e := NewWithWorkers(cm, workers)
+		pts, err := e.EvalSweep(bg, models, hws, mapper.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, sweepFingerprint(t, pts))
+		rendered := e.Stats().String()
+		for _, want := range []string{"floors", "heap pops", "infeasible"} {
+			if !strings.Contains(rendered, want) {
+				t.Errorf("%d workers: Stats.String() = %q missing %q", workers, rendered, want)
+			}
+		}
+	}
+	if !bytes.Equal(fps[0], fps[1]) {
+		t.Errorf("1-worker and 4-worker sweeps differ:\n%s\nvs\n%s", fps[0], fps[1])
 	}
 }
 

@@ -34,6 +34,26 @@ func modelFingerprint(t *testing.T, res mapper.ModelResult) []byte {
 	return raw
 }
 
+// sweepFingerprint reduces a sweep to its decision-relevant bytes: every
+// point's per-layer mappings, energies and cycles, in point order.
+func sweepFingerprint(t *testing.T, pts []SweepPoint) []byte {
+	t.Helper()
+	var fps [][]byte
+	for _, pt := range pts {
+		if pt.Err != nil {
+			t.Fatalf("sweep point %s failed: %v", pt.HW.Tuple(), pt.Err)
+		}
+		for _, res := range pt.Results {
+			fps = append(fps, modelFingerprint(t, res))
+		}
+	}
+	raw, err := json.Marshal(fps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func evalWithCache(t *testing.T, c ResultCache) (*Evaluator, []byte) {
 	t.Helper()
 	e := NewFromConfig(cm, Config{Cache: c})

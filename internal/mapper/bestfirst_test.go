@@ -2,7 +2,6 @@ package mapper
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,9 +9,7 @@ import (
 
 	"nnbaton/internal/hardware"
 	"nnbaton/internal/mapping"
-	"nnbaton/internal/noc"
 	"nnbaton/internal/obs"
-	"nnbaton/internal/par"
 	"nnbaton/internal/workload"
 )
 
@@ -42,12 +39,10 @@ func TestGroupBoundAdmissible(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			cfg.Fault = randomFault(rng, hw.Chiplets)
 		}
-		topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
+		srch, err := newSearch(l, hw, cm, cfg)
 		if err != nil {
 			continue
 		}
-		num, den := topo.D2DScale()
-		srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den}
 		ctx := fmt.Sprintf("trial %d: %s/%s on %s obj=%v fault=%s",
 			trial, l.Model, l.Name, hw.Tuple(), cfg.Objective, cfg.Fault)
 		for _, st := range subtrees(l, hw, cfg) {
@@ -83,7 +78,7 @@ func TestGroupBoundAdmissible(t *testing.T) {
 							continue
 						}
 						sh := probe.Shape(&l, &hw)
-						fl := lowerBound(&l, &hw, cm, &probe, &sh, cfg.Objective, num, den)
+						fl := lowerBound(&l, &hw, cm, &probe, &sh, cfg.Objective, srch.d2dNum, srch.d2dDen)
 						if gb > fl {
 							t.Fatalf("%s: group bound %.6g > member floor %.6g for %+v",
 								ctx, gb, fl, probe)
@@ -151,27 +146,24 @@ func TestFrontierRejectsAtDecidingLevel(t *testing.T) {
 				ctx := fmt.Sprintf("%s/%s on %s (W-L1 %d B, A-L2 %d B)", l.Model, l.Name, hw.Tuple(), hw.WL1Bytes, hw.AL2Bytes)
 				cfg := Config{KeepTop: 4}
 				sts := subtrees(l, hw, cfg)
-				topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
+				srch, err := newSearch(l, hw, cm, cfg)
 				if err != nil || len(sts) == 0 {
 					continue
 				}
-				num, den := topo.D2DScale()
 				var mu sync.Mutex
 				var rejected int64
-				srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den,
-					rejected: func(m mapping.Mapping) {
-						mu.Lock()
-						defer mu.Unlock()
-						rejected++
-						if !mapping.StreamingWL1Fits(&l, &hw) || !m.ChipletTileFits(&l, &hw) || !m.PlanarTileFits(&l, &hw) {
-							t.Fatalf("%s: popped cell %+v fails a need its group decides", ctx, m)
-						}
-					}}
+				srch.rejected = func(m mapping.Mapping) {
+					mu.Lock()
+					defer mu.Unlock()
+					rejected++
+					if !mapping.StreamingWL1Fits(&l, &hw) || !m.ChipletTileFits(&l, &hw) || !m.PlanarTileFits(&l, &hw) {
+						t.Fatalf("%s: popped cell %+v fails a need its group decides", ctx, m)
+					}
+				}
 				ws := new(searchState)
-				ws.init(hw, cfg.Fault)
 				unchecked := newTopK(cfg.KeepTop, cfg.Objective)
 				if mapping.StreamingWL1Fits(&l, &hw) {
-					srch.runFrontier(sts, ws, unchecked, par.NewMinBound())
+					srch.runFrontier(sts, ws, unchecked, newMinBound())
 					if ws.tally.infeasible != rejected {
 						t.Fatalf("%s: tally counts %d infeasible cells, hook saw %d", ctx, ws.tally.infeasible, rejected)
 					}
@@ -182,7 +174,7 @@ func TestFrontierRejectsAtDecidingLevel(t *testing.T) {
 				// the streaming W-L1 need, and SearchAll skips the frontier.
 				wl1Rejects++
 				srch.rejected = nil
-				srch.runFrontier(sts, ws, unchecked, par.NewMinBound())
+				srch.runFrontier(sts, ws, unchecked, newMinBound())
 				ctr := &Counters{HeapPopped: &obs.Counter{}, Infeasible: &obs.Counter{}}
 				cfg.Counters = ctr
 				got := SearchAll(l, hw, cm, cfg)
@@ -264,41 +256,5 @@ func TestSearchDeterministicOnTies(t *testing.T) {
 	}
 	if !sawTie {
 		t.Fatal("no trial produced a shared-optimal-cost tie; the audit tested nothing")
-	}
-}
-
-// TestSearchSeedBoundIdentity pins the warm-start contract from the mapper
-// side: seeding the incumbent with the exact k-th best score of the space —
-// the strongest sound seed the engine can ever derive — must leave the result
-// byte-identical to a cold search, while an unsound over-tight seed is
-// rejected by construction only when it still dominates the k-th best. Also
-// covers the degenerate seeds (0, +Inf, negative) the engine may pass.
-func TestSearchSeedBoundIdentity(t *testing.T) {
-	cm := hardware.MustCostModel()
-	hw := hardware.CaseStudy()
-	l := workload.ResNet50(224).Layers[10]
-	cfg := Config{Objective: MinEnergy, KeepTop: 8}
-	cold := SearchAll(l, hw, cm, cfg)
-	if len(cold) != cfg.KeepTop {
-		t.Fatalf("cold search returned %d options", len(cold))
-	}
-	kth := score(cold[len(cold)-1], cfg.Objective)
-	for _, tc := range []struct {
-		name string
-		seed float64
-	}{
-		{"exact-kth", kth},
-		{"above-kth", kth * 1.5},
-		{"zero", 0},
-		{"inf", math.Inf(1)},
-		{"negative", -1},
-	} {
-		for _, workers := range []int{1, 4} {
-			c := cfg
-			c.SeedBound = tc.seed
-			c.Workers = workers
-			got := SearchAll(l, hw, cm, c)
-			requireSameOptions(t, fmt.Sprintf("%s workers=%d", tc.name, workers), cold, got, cfg.Objective)
-		}
 	}
 }

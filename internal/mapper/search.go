@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"nnbaton/internal/c3p"
 	"nnbaton/internal/energy"
@@ -232,15 +233,13 @@ func heapPop(h []bfNode) (bfNode, []bfNode) {
 }
 
 // searchState is one worker's private scratch: the C³P analysis and its
-// buffers, the interconnect models, the best-first frontier with its tile
-// buffers, and the funnel tally. Workers take it from statePool and return
-// it after the search, so the frontier's slices keep their capacity across
-// searches: a warm search allocates only its result, not its bookkeeping.
+// buffers, the best-first frontier with its tile buffers, and the funnel
+// tally. Workers take it from statePool and return it after the search, so
+// the frontier's slices keep their capacity across searches: a warm search
+// allocates only its result, not its bookkeeping.
 type searchState struct {
 	sc     c3p.Scratch
 	a      c3p.Analysis
-	topo   noc.Topology
-	xbar   *noc.Crossbar
 	tally  tally
 	heap   []bfNode
 	subs   []bfSubtree
@@ -252,30 +251,20 @@ type searchState struct {
 
 // statePool recycles worker scratch across searches. A search may take its
 // states from any earlier search — another layer, hardware point, fault mask
-// or objective — so init rebuilds everything that depends on them and the
-// frontier truncates its buffers before use.
+// or objective — so nothing in a state depends on them: runWorkers clears the
+// tally and the frontier truncates its buffers before use.
 var statePool = sync.Pool{New: func() any { return new(searchState) }}
 
-// init builds the interconnect models and clears the tally; SearchAll has
-// already rejected geometries the models cannot represent. The fault mask
-// reroutes the fabric around dead positions (the zero mask yields the
-// healthy topology).
-func (ws *searchState) init(hw hardware.Config, mask hardware.FaultMask) {
-	ws.topo, ws.xbar, _ = noc.NewInterconnect(hw, mask)
-	ws.tally = tally{}
-}
-
-// runWorkers runs body once per worker on pooled scratch initialized for hw
-// under mask and returns the workers' summed funnel tally. body receives the
-// worker's state, the worker index and the shard index (one shard per
-// worker). The states go back to the pool only after a clean run: a panic
-// may have left a state mid-search.
-func runWorkers(workers int, hw hardware.Config, mask hardware.FaultMask,
-	body func(ws *searchState, w, i int)) (tally, error) {
+// runWorkers runs body once per worker on pooled scratch with a cleared tally
+// and returns the workers' summed funnel tally. body receives the worker's
+// state, the worker index and the shard index (one shard per worker). The
+// states go back to the pool only after a clean run: a panic may have left a
+// state mid-search.
+func runWorkers(workers int, body func(ws *searchState, w, i int)) (tally, error) {
 	states := make([]*searchState, workers)
 	for i := range states {
 		states[i] = statePool.Get().(*searchState)
-		states[i].init(hw, mask)
+		states[i].tally = tally{}
 	}
 	err := par.ParallelForWorker(context.Background(), workers, workers, func(w, i int) error {
 		body(states[w], w, i)
@@ -320,12 +309,58 @@ type search struct {
 	hw  hardware.Config
 	cm  *hardware.CostModel
 	cfg Config
+	// topo and xbar are the interconnect models every worker simulates on;
+	// their methods only read, so one pair serves all workers. The fault
+	// mask reroutes the fabric around dead positions (the zero mask yields
+	// the healthy topology).
+	topo noc.Topology
+	xbar *noc.Crossbar
 	// d2dNum/d2dDen is the topology's physical-to-logical D2D traffic scale
 	// (noc.Topology.D2DScale); equal on a healthy ring.
 	d2dNum, d2dDen int64
 	// rejected, when set, observes every popped cell that fails Feasible
 	// (tests use it to see which need failed). Workers call it concurrently.
 	rejected func(mapping.Mapping)
+}
+
+// newSearch builds the shared inputs of one search of l on hw under cfg, or
+// reports the interconnect geometry the models cannot represent.
+func newSearch(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) (*search, error) {
+	topo, xbar, err := noc.NewInterconnect(hw, cfg.Fault)
+	if err != nil {
+		return nil, err
+	}
+	num, den := topo.D2DScale()
+	return &search{l: l, hw: hw, cm: cm, cfg: cfg, topo: topo, xbar: xbar, d2dNum: num, d2dDen: den}, nil
+}
+
+// minBound is the lock-free shared incumbent of the parallel search: the
+// smallest k-th best score any worker has published so far. Workers fold it
+// into their local pruning threshold so a strong incumbent found in one shard
+// prunes every other shard. Lowering is a CAS-min; the bound only ever
+// decreases, so a stale read is merely conservative, never unsound.
+type minBound struct{ bits atomic.Uint64 }
+
+// newMinBound returns a bound at +Inf — no incumbent yet.
+func newMinBound() *minBound {
+	b := &minBound{}
+	b.bits.Store(math.Float64bits(math.Inf(1)))
+	return b
+}
+
+func (b *minBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
+
+// update lowers the bound to v when v is smaller; larger values are ignored.
+func (b *minBound) update(v float64) {
+	for {
+		old := b.bits.Load()
+		if math.Float64frombits(old) <= v {
+			return
+		}
+		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
 }
 
 // chipletTiles appends to dst the chiplet-tile candidates the frontier
@@ -421,7 +456,7 @@ func (s *search) groupBound(st *subtree, cots []int, g *bfGroup, cps [][2]int) f
 // bound-pruned candidate is pruned for good; result identity does not depend
 // on visit order, only on the candidate set, which this generator shares with
 // the exhaustive walker.
-func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *par.MinBound) {
+func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared *minBound) {
 	l, hw, cm, obj := &s.l, &s.hw, s.cm, s.cfg.Objective
 	subs, groups, heap := ws.subs[:0], ws.groups[:0], ws.heap[:0]
 	cots, cps := ws.cots[:0], ws.cps[:0]
@@ -468,7 +503,7 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 		var n bfNode
 		n, heap = heapPop(heap)
 		ws.tally.popped++
-		thresh := min(dest.worst(), shared.Load())
+		thresh := min(dest.worst(), shared.load())
 		if n.bound > thresh {
 			// The frontier's minimum exceeds the incumbent threshold, so
 			// every remaining candidate bounds at least as high. Probes
@@ -555,12 +590,12 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 				if obj == MinEDP {
 					stage *= hardware.Seconds(sim.ComputeBoundCyclesOf(l, hw, &m, &sh))
 				}
-				thresh = min(dest.worst(), shared.Load())
+				thresh = min(dest.worst(), shared.load())
 				if stage > thresh {
 					ws.tally.stagePruned++
 					continue
 				}
-				res, err := sim.SimulateTrafficOn(ws.topo, ws.xbar, &ws.a, &tr)
+				res, err := sim.SimulateTrafficOn(s.topo, s.xbar, &ws.a, &tr)
 				if err != nil {
 					ws.tally.stagePruned++
 					continue
@@ -574,7 +609,7 @@ func (s *search) runFrontier(sts []subtree, ws *searchState, dest *topK, shared 
 					o.Analysis = ws.a.Clone()
 					dest.add(o, sc)
 					if w := dest.worst(); !math.IsInf(w, 1) {
-						shared.Update(w)
+						shared.update(w)
 					}
 				}
 			}
@@ -620,28 +655,14 @@ func rethrowPanics(err error) {
 	}
 }
 
-// newIncumbent builds the shared CAS-min incumbent, seeded with the
-// cross-point warm-start bound when the caller provides one. Seeding is
-// sound only because the engine derives SeedBound from re-validated,
-// re-costed members of this exact search space (see Config.SeedBound); the
-// strict (>) pruning keeps score ties alive, so a seeded search returns
-// byte-identical results to a cold one.
-func newIncumbent(cfg Config) *par.MinBound {
-	b := par.NewMinBound()
-	if cfg.SeedBound > 0 && !math.IsInf(cfg.SeedBound, 1) {
-		b.Update(cfg.SeedBound)
-	}
-	return b
-}
-
 // SearchAll evaluates the mapping space and returns the best KeepTop options
 // sorted by the objective (ties broken by mapping.Compare). It is
 // result-identical to SearchExhaustive — enforced by randomized equivalence
 // tests — but orders the space best-first under admissible lower bounds,
 // stages the evaluation pipeline so the simulator only runs for survivors,
-// shards the space across Workers goroutines with a shared incumbent bound
-// (optionally warm-started by the engine), and reuses per-worker scratch so
-// the steady-state candidate path does not allocate.
+// shards the space across Workers goroutines with a shared incumbent bound,
+// and reuses per-worker scratch so the steady-state candidate path does not
+// allocate.
 func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg Config) []Option {
 	if cfg.KeepTop <= 0 {
 		cfg.KeepTop = 8
@@ -652,7 +673,7 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	if l.Validate() != nil || hw.Validate() != nil {
 		return nil
 	}
-	topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
+	srch, err := newSearch(l, hw, cm, cfg)
 	if err != nil {
 		return nil
 	}
@@ -670,14 +691,12 @@ func SearchAll(l workload.Layer, hw hardware.Config, cm *hardware.CostModel, cfg
 	for i := range tops {
 		tops[i] = newTopK(cfg.KeepTop, cfg.Objective)
 	}
-	num, den := topo.D2DScale()
-	srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den}
-	shared := newIncumbent(cfg)
+	shared := newMinBound()
 	// One frontier per worker, spanning the worker's strided share of the
 	// subtrees: the best-first order then holds across subtree boundaries,
 	// so a worker's weak subtrees die as unexpanded group nodes instead of
 	// each warming up its own frontier.
-	t, err := runWorkers(workers, hw, cfg.Fault, func(ws *searchState, w, i int) {
+	t, err := runWorkers(workers, func(ws *searchState, w, i int) {
 		srch.runFrontier(strided(sts, i, workers), ws, tops[w], shared)
 	})
 	if err != nil {
@@ -734,7 +753,10 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 	if l.Validate() != nil || hw.Validate() != nil {
 		return best
 	}
-	topo, _, err := noc.NewInterconnect(hw, cfg.Fault)
+	// The topology's hop ratio keeps the bound admissible off-ring too: a
+	// healthy ring's (n, n) scale is the exact identity the old hardcoded
+	// (1, 1) was, while a mesh's multi-hop rotation prices its detours.
+	srch, err := newSearch(l, hw, cm, cfg)
 	if err != nil {
 		return best
 	}
@@ -749,19 +771,14 @@ func BestPerSpatialCombo(l workload.Layer, hw hardware.Config, cm *hardware.Cost
 			tops[i][c] = newTopK(1, MinEnergy)
 		}
 	}
-	var bounds [numCombos]*par.MinBound
+	var bounds [numCombos]*minBound
 	for c := range bounds {
-		bounds[c] = par.NewMinBound()
+		bounds[c] = newMinBound()
 	}
-	// The topology's hop ratio keeps the bound admissible off-ring too: a
-	// healthy ring's (n, n) scale is the exact identity the old hardcoded
-	// (1, 1) was, while a mesh's multi-hop rotation prices its detours.
-	num, den := topo.D2DScale()
-	srch := &search{l: l, hw: hw, cm: cm, cfg: cfg, d2dNum: num, d2dDen: den}
 	// Each combo keeps its own incumbent and destination, so a worker runs
 	// one frontier per combo over its strided share: within a combo the
 	// frontier spans subtree boundaries, across combos nothing is shared.
-	_, err = runWorkers(workers, hw, cfg.Fault, func(ws *searchState, w, i int) {
+	_, err = runWorkers(workers, func(ws *searchState, w, i int) {
 		var byCombo [numCombos][]subtree
 		for _, st := range strided(sts, i, workers) {
 			c := comboIndex(st.ps.kind, st.cs.kind)
